@@ -27,13 +27,6 @@ type benchBaseline struct {
 	MaxRegression float64 `json:"max_regression"`
 	Machine       string  `json:"machine"`
 	Recorded      string  `json:"recorded"`
-	// BuildWorkers is the worker count the reference build ran with. It
-	// is pinned explicitly (a missing field means 1, the serial engine)
-	// so the guarded measurement never silently changes meaning with
-	// the runner's core count: the guard compares serial against
-	// serial, and a parallel baseline would be compared against the
-	// same worker count.
-	BuildWorkers int `json:"build_workers"`
 }
 
 // TestCompileBenchGuard is the benchmark-regression smoke gate: it
@@ -54,11 +47,8 @@ func TestCompileBenchGuard(t *testing.T) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatalf("parsing baseline: %v", err)
 	}
-	if base.BuildSeconds <= 0 || base.MaxRegression <= 0 || base.BuildWorkers < 0 {
+	if base.BuildSeconds <= 0 || base.MaxRegression <= 0 {
 		t.Fatalf("implausible baseline %+v", base)
-	}
-	if base.BuildWorkers == 0 {
-		base.BuildWorkers = 1 // legacy baselines predate the field: serial
 	}
 	sys, err := benchmarks.ByName(base.Benchmark)
 	if err != nil {
@@ -78,7 +68,7 @@ func TestCompileBenchGuard(t *testing.T) {
 		// slows the uninstrumented build trips it like any other
 		// compile-path regression.
 		re, err := socyield.NewReevaluator(sys, socyield.Options{
-			Defects: dist, Epsilon: base.Epsilon, BuildWorkers: base.BuildWorkers,
+			Defects: dist, Epsilon: base.Epsilon,
 			Recorder: nil, Tracer: nil, BuildState: nil,
 		})
 		sec := time.Since(t0).Seconds()
@@ -93,8 +83,8 @@ func TestCompileBenchGuard(t *testing.T) {
 		}
 	}
 	limit := base.BuildSeconds * (1 + base.MaxRegression)
-	fmt.Printf("bench guard: %s build %.3fs at %d worker(s) (baseline %.3fs on %s, limit %.3fs)\n",
-		base.Benchmark, best, base.BuildWorkers, base.BuildSeconds, base.Machine, limit)
+	fmt.Printf("bench guard: %s build %.3fs (baseline %.3fs on %s, limit %.3fs)\n",
+		base.Benchmark, best, base.BuildSeconds, base.Machine, limit)
 	if best > limit {
 		t.Errorf("%s build took %.3fs, more than %.0f%% over the %.3fs baseline — compile-path regression (or refresh results/bench_baseline.json after a hardware change)",
 			base.Benchmark, best, 100*base.MaxRegression, base.BuildSeconds)

@@ -22,11 +22,6 @@
 // -bench-json runs the batch-sweep scaling benchmark (one shared
 // ROMDD, a (λ', α) grid of evaluation points, serial vs parallel) and
 // writes the timing trajectory to the given file.
-//
-// -build-json runs the build-engine scaling benchmark (the full
-// decision-diagram build of each case at increasing BuildWorkers
-// counts, serial engine as the reference) and writes per-phase worker
-// scaling rows to the given file (the BENCH_6.json format).
 package main
 
 import (
@@ -61,8 +56,6 @@ func main() {
 		epsilon    = flag.Float64("eps", 0, "yield error requirement (0 = default 5e-3)")
 		alpha      = flag.Float64("alpha", 0, "NB clustering parameter (0 = default 2)")
 		workers    = flag.Int("workers", 0, "cases evaluated concurrently (0 = all cores)")
-		buildWork  = flag.Int("build-workers", 0, "workers for each decision-diagram build (0 = all cores, 1 = serial engine)")
-		buildJSON  = flag.String("build-json", "", "write the build-engine worker scaling benchmark to this file (BENCH_6 format)")
 		benchJSON  = flag.String("bench-json", "", "write the sweep scaling benchmark trajectory to this file")
 		benchCase  = flag.String("bench-case", "ESEN8x2:1", `benchmark rows for -bench-json, e.g. "ESEN8x2:1,MS19:1"`)
 		benchPts   = flag.Int("bench-points", 64, "sweep grid size for -bench-json")
@@ -83,7 +76,7 @@ func main() {
 		cliutil.ServeDebug("experiments", *pprofAddr, rec)
 	}
 	flight := cliutil.StartFlightRecorder(rec, *traceOut, *samplesOut, *sampleInt)
-	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, BuildWorkers: *buildWork, Recorder: rec, Tracer: flight.Tracer()}
+	cfg := experiments.Config{Alpha: *alpha, Epsilon: *epsilon, NodeLimit: *nodeLimit, Workers: *workers, Recorder: rec, Tracer: flight.Tracer()}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, 0, rec)
 		if err != nil {
@@ -139,11 +132,6 @@ func main() {
 	if *benchJSON != "" {
 		run("Benchmark: batch sweep serial vs parallel", func() error {
 			return runSweepBench(*benchJSON, *benchCase, *benchPts, *workers, *progress, cfg)
-		})
-	}
-	if *buildJSON != "" {
-		run("Benchmark: decision-diagram build serial vs parallel", func() error {
-			return runBuildBench(*buildJSON, *benchCase, *buildWork, cfg)
 		})
 	}
 	if !ran {
@@ -309,159 +297,6 @@ func benchOneCase(cs experiments.Case, points, maxWorkers int, progress bool, cf
 			Speedup float64 `json:"speedup_vs_serial"`
 		}{Workers: w, Seconds: sec, Speedup: serialSec / sec})
 		fmt.Printf("workers=%-3d %8.3fs  speedup %.2fx  identical %v\n", w, sec, serialSec/sec, out.Identical)
-	}
-	return out, nil
-}
-
-// buildBench is the JSON record of one -build-json run: the full
-// decision-diagram build (prepare through eval) of one case at
-// increasing BuildWorkers counts, with the serial engine (workers=1)
-// as the timing reference and the equality oracle. One row per worker
-// count carries the per-phase seconds — compile and convert are the
-// phases the concurrent engine parallelizes — plus the engine's
-// contention counters, so a scaling regression is attributable to a
-// phase and a lock family. The BENCH_6.json artifact is one of these
-// per benchmark case.
-type buildBench struct {
-	Benchmark   string  `json:"benchmark"`
-	LambdaPrime int     `json:"lambda_prime"`
-	Epsilon     float64 `json:"epsilon"`
-	Cores       int     `json:"cores"`
-	M           int     `json:"m"`
-	Yield       float64 `json:"yield"`
-	// Identical reports the acceptance invariant: every worker count
-	// produced exactly the serial yield, M, error bound and both
-	// diagram sizes (== on float64 bits, no tolerance).
-	Identical bool            `json:"parallel_identical_to_serial"`
-	Scaling   []buildBenchRow `json:"build_scaling"`
-}
-
-// buildBenchRow is one worker count's build timing.
-type buildBenchRow struct {
-	Workers         int     `json:"workers"`
-	CompileSec      float64 `json:"compile_seconds"`
-	ConvertSec      float64 `json:"convert_seconds"`
-	TotalSec        float64 `json:"total_seconds"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	CodedROBDDNodes int     `json:"coded_robdd_nodes"`
-	ROMDDNodes      int     `json:"romdd_nodes"`
-	CompileTasks    int64   `json:"compile_tasks"`
-	CompileSteals   int64   `json:"compile_steals"`
-	ShardContention int64   `json:"shard_contention"`
-	CacheContention int64   `json:"cache_contention"`
-}
-
-// runBuildBench times the one-time model build of every case in
-// caseSpec at worker counts 1, 2, 4, … up to maxWorkers (at least 4,
-// so the scaling shape is visible even on small boxes), checking each
-// parallel build bit-identical against the serial one, and writes the
-// records as JSON (single object for one case, array for several).
-func runBuildBench(path, caseSpec string, maxWorkers int, cfg experiments.Config) error {
-	parsed, err := parseCases(caseSpec)
-	if err != nil || len(parsed) == 0 {
-		return fmt.Errorf("bad -bench-case %q: %v", caseSpec, err)
-	}
-	records := make([]buildBench, 0, len(parsed))
-	for _, cs := range parsed {
-		rec, err := buildBenchOneCase(cs, maxWorkers, cfg)
-		if err != nil {
-			return err
-		}
-		records = append(records, rec)
-	}
-	var data []byte
-	if len(records) == 1 {
-		data, err = json.MarshalIndent(records[0], "", "  ")
-	} else {
-		data, err = json.MarshalIndent(records, "", "  ")
-	}
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func buildBenchOneCase(cs experiments.Case, maxWorkers int, cfg experiments.Config) (buildBench, error) {
-	sys, err := cliutil.LoadSystem(cs.Benchmark, "")
-	if err != nil {
-		return buildBench{}, err
-	}
-	alpha, eps := cfg.Alpha, cfg.Epsilon
-	if alpha == 0 {
-		alpha = 3.4
-	}
-	if eps == 0 {
-		eps = 2e-3
-	}
-	dist, err := defects.NewNegativeBinomial(2*float64(cs.LambdaPrime), alpha)
-	if err != nil {
-		return buildBench{}, err
-	}
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	if maxWorkers < 4 {
-		maxWorkers = 4
-	}
-	out := buildBench{
-		Benchmark:   cs.Benchmark,
-		LambdaPrime: cs.LambdaPrime,
-		Epsilon:     eps,
-		Cores:       runtime.NumCPU(),
-		Identical:   true,
-	}
-	// Untimed warm-up build: the first build in a process pays the Go
-	// heap's growth from its small initial size, which would inflate
-	// whichever row runs first (the serial reference) and overstate the
-	// parallel speedup.
-	if _, err := yield.Evaluate(sys, yield.Options{
-		Defects: dist, Epsilon: eps, NodeLimit: 100_000_000, BuildWorkers: 1,
-	}); err != nil {
-		return buildBench{}, fmt.Errorf("%v warm-up: %w", cs, err)
-	}
-	var serial *yield.Result
-	for w := 1; w <= maxWorkers; w *= 2 {
-		opts := yield.Options{
-			Defects: dist, Epsilon: eps,
-			NodeLimit: 100_000_000, BuildWorkers: w,
-			Recorder: cfg.Recorder,
-		}
-		t0 := time.Now()
-		res, err := yield.Evaluate(sys, opts)
-		total := time.Since(t0).Seconds()
-		if err != nil {
-			return buildBench{}, fmt.Errorf("%v workers=%d: %w", cs, w, err)
-		}
-		if w == 1 {
-			serial = res
-			out.M = res.M
-			out.Yield = res.Yield
-		} else if res.Yield != serial.Yield || res.M != serial.M ||
-			res.ErrorBound != serial.ErrorBound ||
-			res.CodedROBDDSize != serial.CodedROBDDSize ||
-			res.ROMDDSize != serial.ROMDDSize {
-			out.Identical = false
-		}
-		speedup := 1.0
-		if w > 1 && total > 0 {
-			speedup = out.Scaling[0].TotalSec / total
-		}
-		row := buildBenchRow{
-			Workers:         w,
-			CompileSec:      res.Phases.Compile.Seconds(),
-			ConvertSec:      res.Phases.Convert.Seconds(),
-			TotalSec:        total,
-			SpeedupVsSerial: speedup,
-			CodedROBDDNodes: res.CodedROBDDSize,
-			ROMDDNodes:      res.ROMDDSize,
-			CompileTasks:    res.Stats.CompileTasks,
-			CompileSteals:   res.Stats.CompileSteals,
-			ShardContention: res.Stats.BDD.ShardContention,
-			CacheContention: res.Stats.BDD.CacheContention,
-		}
-		out.Scaling = append(out.Scaling, row)
-		fmt.Printf("%s workers=%-3d compile %7.3fs  convert %7.3fs  total %7.3fs  speedup %.2fx  identical %v\n",
-			cs.Benchmark, w, row.CompileSec, row.ConvertSec, total, row.SpeedupVsSerial, out.Identical)
 	}
 	return out, nil
 }

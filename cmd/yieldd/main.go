@@ -63,7 +63,6 @@ func main() {
 		maxConc    = flag.Int("max-concurrent", 0, "concurrent evaluations (0 = 2×GOMAXPROCS)")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request timeout")
 		sweepWork  = flag.Int("sweep-workers", 0, "worker cap for /v1/sweep (0 = all cores)")
-		buildWork  = flag.Int("build-workers", 0, "workers for model compiles (0 = all cores, 1 = serial engine)")
 		gracePer   = flag.Duration("grace", 10*time.Second, "shutdown drain period")
 		logJSON    = flag.Bool("log-json", false, "log one JSON object per request instead of text")
 		quiet      = flag.Bool("quiet", false, "disable request logging")
@@ -117,7 +116,6 @@ func main() {
 		MaxConcurrent:        *maxConc,
 		RequestTimeout:       *timeout,
 		SweepWorkers:         *sweepWork,
-		BuildWorkers:         *buildWork,
 		Store:                modelStore,
 		Metrics:              metrics,
 		Tracer:               flight.Tracer(),

@@ -36,8 +36,8 @@
 // Instrumentation: -metrics-json FILE dumps every counter, gauge,
 // histogram and phase span collected during the run as JSON ("-" for
 // stdout); -trace-out FILE records the run as a Chrome trace-event
-// file (open it at ui.perfetto.dev) with phase spans, per-worker build
-// tracks and sampled counters; -samples-out FILE dumps the sampled
+// file (open it at ui.perfetto.dev) with phase spans, a build track
+// of per-gate events and sampled counters; -samples-out FILE dumps the sampled
 // metrics time series as JSONL (-sample-interval sets the cadence);
 // -progress prints periodic completion lines for sweeps and
 // Monte-Carlo runs; -pprof ADDR serves net/http/pprof and an expvar
@@ -151,7 +151,6 @@ func run() error {
 		fRate      = flag.Float64("frate", 1e-3, "field failure rate per component (with -reliability)")
 		sweep      = flag.String("sweep", "", "comma-separated λ values for a batch sweep on the shared ROMDD")
 		workers    = flag.Int("workers", 0, "parallel workers for -sweep and -mc (0 = all cores)")
-		buildWork  = flag.Int("build-workers", 0, "workers for the decision-diagram build (0 = all cores, 1 = serial engine)")
 		verbose    = flag.Bool("v", false, "print per-phase statistics")
 		metricsJS  = flag.String("metrics-json", "", "write collected metrics as JSON to this file (\"-\" = stdout)")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event file of the run to this file (Perfetto-loadable)")
@@ -209,9 +208,8 @@ func run() error {
 	opts := yield.Options{
 		Defects: dist, Epsilon: *eps,
 		MVOrder: mv, BitOrder: bits, NodeLimit: *nodeLimit,
-		BuildWorkers: *buildWork,
-		Recorder:     rec,
-		Tracer:       flight.Tracer(),
+		Recorder: rec,
+		Tracer:   flight.Tracer(),
 	}
 	ps := make([]float64, len(sys.Components))
 	for i, c := range sys.Components {

@@ -231,12 +231,6 @@ type Stats struct {
 	// GCs counts garbage collections, GCFreed the total nodes freed.
 	GCs     int
 	GCFreed int64
-	// ShardContention and CacheContention count lock acquisitions that
-	// found a unique-table shard (resp. an operation-cache stripe)
-	// already held by another worker of the concurrent engine. Always
-	// zero for the serial engine.
-	ShardContention int64
-	CacheContention int64
 }
 
 // Stats returns the current instrumentation snapshot.
@@ -271,6 +265,47 @@ func (m *Manager) resizeBuckets(n int) {
 		nd.next = m.buckets[b]
 		m.buckets[b] = int32(i)
 	}
+}
+
+// ReleaseTables drops the tables only construction needs: the ITE
+// operation cache, the unique-table buckets and the traversal scratch
+// (visitation stamps, memo slices, the n-ary operand buffer). The
+// arena, the reference counts and every issued handle stay valid, so
+// read-only traversals (Level, Lo, Hi, Eval, Size, SatFraction, ...)
+// keep working; they re-grow their scratch on demand. Any later
+// operation that creates nodes (Var, ITE, And, Or, Restrict, GC, ...)
+// first rebuilds the unique table by rehashing the arena, so it finds
+// the same canonical nodes and returns the same handles as before the
+// release; only the ITE cache starts cold.
+//
+// Callers use it between compilation and a read-only phase such as
+// ROMDD conversion, where these tables — a cache entry and a bucket
+// per arena slot, plus one stamp per slot — would otherwise stay live
+// for no benefit.
+func (m *Manager) ReleaseTables() {
+	m.buckets = nil
+	m.cache = nil
+	m.cacheMask = 0
+	m.stamp = nil
+	m.stampGen = 0
+	m.memoNode = nil
+	m.memoFrac = nil
+	m.naryBuf = nil
+}
+
+// ensureTables rebuilds the unique table and the ITE cache after
+// ReleaseTables, sized as mk would have grown them for the current
+// arena. Every entry point that can reach mk or the cache calls it.
+func (m *Manager) ensureTables() {
+	if m.buckets != nil {
+		return
+	}
+	n := 1 << 10
+	for n < len(m.nodes) {
+		n <<= 1
+	}
+	m.resizeBuckets(n)
+	m.resizeCache(max(n, 1<<12))
 }
 
 // resizeCache sizes the ITE cache to n entries (n/2 two-way sets).
@@ -366,6 +401,7 @@ func (m *Manager) Var(level int) (Node, error) {
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -380,6 +416,7 @@ func (m *Manager) NVar(level int) (Node, error) {
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -556,6 +593,7 @@ func (m *Manager) ite(f, g, h Node) Node {
 
 // ITE returns if-then-else(f, g, h) = (f∧g) ∨ (¬f∧h).
 func (m *Manager) ITE(f, g, h Node) (Node, error) {
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -668,6 +706,7 @@ func (m *Manager) applyNary(fs []Node, op int) Node {
 // And returns the conjunction of the arguments (True when empty) via
 // the n-ary apply.
 func (m *Manager) And(fs ...Node) (Node, error) {
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -683,6 +722,7 @@ func (m *Manager) And(fs ...Node) (Node, error) {
 // Or returns the disjunction of the arguments (False when empty) via
 // the n-ary apply.
 func (m *Manager) Or(fs ...Node) (Node, error) {
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -721,6 +761,7 @@ func (m *Manager) Restrict(f Node, level int, val bool) (Node, error) {
 	if level < 0 || int32(level) >= m.numVars {
 		return False, fmt.Errorf("bdd: variable level %d out of range [0,%d)", level, m.numVars)
 	}
+	m.ensureTables()
 	var out Node
 	var err error
 	func() {
@@ -906,6 +947,7 @@ func (m *Manager) SatCount(f Node) float64 {
 // nodes held only by in-flight operations are never collected because
 // operations do not trigger GC internally.
 func (m *Manager) GC() int {
+	m.ensureTables()
 	gen := m.nextStamp()
 	// Mark phase: roots are nodes with a positive external refcount.
 	for i := 1; i < len(m.nodes); i++ {

@@ -15,16 +15,16 @@ type options struct {
 }
 
 // WithBuildState attaches a live progress tracker: the compiler
-// publishes the task total once the work is known and counts finished
-// tasks and live nodes as it goes, so /v1/builds and the flight
+// publishes the gate total once the cone is known and counts compiled
+// gates and live nodes as it goes, so /v1/builds and the flight
 // recorder can report gates-done/total mid-compile.
 func WithBuildState(b *obs.BuildState) Option {
 	return func(o *options) { o.state = b }
 }
 
-// WithTracer attaches a flight-recorder tracer: each compiled task
-// becomes one timed event on its worker's track in the Chrome trace
-// export.
+// WithTracer attaches a flight-recorder tracer: each compiled gate
+// becomes one timed event on the build track (worker 0) of the Chrome
+// trace export.
 func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }
@@ -35,24 +35,4 @@ func applyOptions(opts []Option) options {
 		fn(&o)
 	}
 	return o
-}
-
-// taskKindName names a parallel task kind for trace events.
-func taskKindName(kind int8) string {
-	switch kind {
-	case tkVar:
-		return "var"
-	case tkConst:
-		return "const"
-	case tkNot:
-		return "not"
-	case tkAnd:
-		return "and"
-	case tkOr:
-		return "or"
-	case tkXor:
-		return "xor"
-	default:
-		return "task"
-	}
 }

@@ -4,17 +4,44 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"socyield/internal/bdd"
 	"socyield/internal/logic"
 )
 
+// workerCounts are the numbers of goroutines that compile the same
+// netlist at once, each on a manager of its own. The engine keeps all
+// of its state in the manager, so builds running in parallel — the
+// server's concurrent model builds, the table runner's workers — must
+// not see each other.
 var workerCounts = []int{1, 2, 4, 8}
 
-// checkParallelAgainstSerial compiles n both ways and requires the
-// same function (every assignment), the same diagram size, and a
-// leak-free shared arena.
+// compileInParallel compiles n on workers goroutines at once, each
+// into its own fresh manager made by newManager, and returns the
+// managers, roots and errors by goroutine.
+func compileInParallel(n *logic.Netlist, levels []int, workers int, newManager func() *bdd.Manager) ([]*bdd.Manager, []bdd.Node, []error) {
+	ms := make([]*bdd.Manager, workers)
+	roots := make([]bdd.Node, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		ms[w] = newManager()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			roots[w], errs[w] = Netlist(ms[w], n, levels)
+		}(w)
+	}
+	wg.Wait()
+	return ms, roots, errs
+}
+
+// checkParallelAgainstSerial compiles n serially and on workers
+// goroutines at once, and requires from every parallel build the same
+// function (every assignment), the same diagram size, and a leak-free
+// manager.
 func checkParallelAgainstSerial(t *testing.T, n *logic.Netlist, k int, levels []int, workers int) {
 	t.Helper()
 	m := bdd.New(k)
@@ -24,36 +51,35 @@ func checkParallelAgainstSerial(t *testing.T, n *logic.Netlist, k int, levels []
 	}
 	defer m.Deref(sroot)
 
-	s := bdd.NewShared(k, 0)
-	proot, st, err := NetlistParallel(s, n, levels, workers)
-	if err != nil {
-		t.Fatalf("NetlistParallel(workers=%d): %v", workers, err)
-	}
-	if st.Workers < 1 || st.Workers > workers || st.Tasks < 1 {
-		t.Fatalf("implausible stats %+v (requested %d workers)", st, workers)
-	}
+	ms, roots, errs := compileInParallel(n, levels, workers, func() *bdd.Manager { return bdd.New(k) })
 	byLevel := make([]bool, k)
 	in := make([]bool, k)
-	for mask := 0; mask < 1<<k; mask++ {
-		for i := 0; i < k; i++ {
-			in[i] = mask&(1<<i) != 0
-			byLevel[levels[i]] = in[i]
+	for w, pm := range ms {
+		if errs[w] != nil {
+			t.Fatalf("workers=%d goroutine %d: Netlist: %v", workers, w, errs[w])
 		}
-		want, err := n.Eval(in)
-		if err != nil {
-			t.Fatalf("netlist Eval: %v", err)
+		proot := roots[w]
+		for mask := 0; mask < 1<<k; mask++ {
+			for i := 0; i < k; i++ {
+				in[i] = mask&(1<<i) != 0
+				byLevel[levels[i]] = in[i]
+			}
+			want, err := n.Eval(in)
+			if err != nil {
+				t.Fatalf("netlist Eval: %v", err)
+			}
+			if got := pm.Eval(proot, byLevel); got != want {
+				t.Fatalf("workers=%d goroutine %d mask=%b: parallel %v, netlist %v", workers, w, mask, got, want)
+			}
 		}
-		if got := s.Eval(proot, byLevel); got != want {
-			t.Fatalf("workers=%d mask=%b: parallel %v, netlist %v", workers, mask, got, want)
+		if ss, ps := m.Size(sroot), pm.Size(proot); ss != ps {
+			t.Fatalf("workers=%d goroutine %d: diagram size %d (parallel) != %d (serial)", workers, w, ps, ss)
 		}
-	}
-	if ss, ps := m.Size(sroot), s.Size(proot); ss != ps {
-		t.Fatalf("workers=%d: diagram size %d (parallel) != %d (serial)", workers, ps, ss)
-	}
-	s.Deref(proot)
-	s.GC()
-	if live := s.Live(); live != 1 {
-		t.Fatalf("workers=%d: %d live nodes after root Deref + GC, want 1 (reference leak)", workers, live)
+		pm.Deref(proot)
+		pm.GC()
+		if live := pm.Live(); live != 1 {
+			t.Fatalf("workers=%d goroutine %d: %d live nodes after root Deref + GC, want 1 (reference leak)", workers, w, live)
+		}
 	}
 }
 
@@ -73,13 +99,13 @@ func TestParallelMatchesSerialRandom(t *testing.T) {
 	}
 }
 
-// TestParallelWideFanin exercises the reduceWide splitting: fan-ins
-// far beyond fanChunk, including duplicate operands, on And/Or/Nand
-// and a threshold built from wide gates.
+// TestParallelWideFanin compiles gates of very wide fan-in, including
+// duplicate operands, on And/Or/Nand and a threshold built from wide
+// gates, in parallel builds.
 func TestParallelWideFanin(t *testing.T) {
 	const k = 10
 	n := logic.New()
-	xs := make([]logic.GateID, 0, 3*fanChunk+5)
+	xs := make([]logic.GateID, 0, 53)
 	ins := make([]logic.GateID, k)
 	for i := range ins {
 		ins[i] = n.Input(fmt.Sprintf("x%d", i))
@@ -95,6 +121,8 @@ func TestParallelWideFanin(t *testing.T) {
 	}
 }
 
+// TestParallelNodeLimit checks that each parallel build enforces its
+// own manager's node limit.
 func TestParallelNodeLimit(t *testing.T) {
 	n := logic.New()
 	const k = 12
@@ -104,47 +132,19 @@ func TestParallelNodeLimit(t *testing.T) {
 	}
 	n.SetOutput(n.AtLeast(k/2, xs...))
 	for _, workers := range workerCounts {
-		s := bdd.NewShared(k, 10)
-		_, _, err := NetlistParallel(s, n, identityLevels(k), workers)
-		if !errors.Is(err, bdd.ErrNodeLimit) {
-			t.Fatalf("workers=%d: err = %v, want ErrNodeLimit", workers, err)
+		_, _, errs := compileInParallel(n, identityLevels(k), workers,
+			func() *bdd.Manager { return bdd.New(k, bdd.WithNodeLimit(10)) })
+		for w, err := range errs {
+			if !errors.Is(err, bdd.ErrNodeLimit) {
+				t.Fatalf("workers=%d goroutine %d: err = %v, want ErrNodeLimit", workers, w, err)
+			}
 		}
 	}
 }
 
-func TestParallelErrors(t *testing.T) {
-	n := logic.New()
-	n.Input("a")
-	s := bdd.NewShared(1, 0)
-	if _, _, err := NetlistParallel(s, n, identityLevels(1), 4); err != logic.ErrNoOutput {
-		t.Errorf("no output: err = %v", err)
-	}
-	n.SetOutput(n.Input("a"))
-	if _, _, err := NetlistParallel(s, n, nil, 4); err == nil {
-		t.Error("short levels accepted")
-	}
-	if _, _, err := NetlistParallel(s, n, []int{5}, 4); err == nil {
-		t.Error("out-of-range level accepted")
-	}
-}
-
-func TestParallelConstOutput(t *testing.T) {
-	n := logic.New()
-	a := n.Input("a")
-	n.SetOutput(n.Or(a, n.Not(a))) // tautology
-	s := bdd.NewShared(1, 0)
-	root, _, err := NetlistParallel(s, n, identityLevels(1), 4)
-	if err != nil {
-		t.Fatalf("NetlistParallel: %v", err)
-	}
-	if root != bdd.True {
-		t.Errorf("tautology compiled to %d, want True", root)
-	}
-}
-
-// TestParallelGCUnderPressure forces many in-build collections by
-// keeping the auto-GC threshold at its initial value relative to a
-// model that needs far more transient nodes.
+// TestParallelGCUnderPressure compiles a model that needs many
+// transient nodes in parallel builds, and requires each to reach the
+// serial diagram size.
 func TestParallelGCUnderPressure(t *testing.T) {
 	n := logic.New()
 	const k = 16
@@ -160,13 +160,14 @@ func TestParallelGCUnderPressure(t *testing.T) {
 	}
 	want := m.Size(sroot)
 	for _, workers := range workerCounts {
-		s := bdd.NewShared(k, 0)
-		root, _, err := NetlistParallel(s, n, identityLevels(k), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := s.Size(root); got != want {
-			t.Fatalf("workers=%d: size %d, want %d", workers, got, want)
+		ms, roots, errs := compileInParallel(n, identityLevels(k), workers, func() *bdd.Manager { return bdd.New(k) })
+		for w, pm := range ms {
+			if errs[w] != nil {
+				t.Fatalf("workers=%d goroutine %d: %v", workers, w, errs[w])
+			}
+			if got := pm.Size(roots[w]); got != want {
+				t.Fatalf("workers=%d goroutine %d: size %d, want %d", workers, w, got, want)
+			}
 		}
 	}
 }

@@ -51,37 +51,6 @@ func TestCompileReportsProgress(t *testing.T) {
 	}
 }
 
-func TestCompileParallelReportsProgress(t *testing.T) {
-	n, k := progressNetlist()
-	bs := obs.NewBuildState()
-	bs.StartPhase(obs.BuildCompile, 0)
-	tr := obs.NewTracer(256)
-
-	s := bdd.NewShared(k, 0)
-	root, pst, err := NetlistParallel(s, n, identityLevels(k), 4, WithBuildState(bs), WithTracer(tr))
-	if err != nil {
-		t.Fatalf("NetlistParallel: %v", err)
-	}
-	defer s.Deref(root)
-
-	st := bs.Snapshot()
-	if st.PhaseTotal != int64(pst.Tasks) {
-		t.Errorf("published total %d != executed tasks %d", st.PhaseTotal, pst.Tasks)
-	}
-	if st.PhaseDone != st.PhaseTotal {
-		t.Errorf("done = %d, total = %d; want equal after completion", st.PhaseDone, st.PhaseTotal)
-	}
-	evs := tr.Events()
-	if len(evs) != pst.Tasks {
-		t.Errorf("tracer recorded %d events, want one per task (%d)", len(evs), pst.Tasks)
-	}
-	for _, ev := range evs {
-		if ev.Worker < 0 || ev.Worker >= pst.Workers {
-			t.Errorf("event worker %d outside [0,%d)", ev.Worker, pst.Workers)
-		}
-	}
-}
-
 // TestCompileUninstrumented pins the no-op discipline: nil options
 // change nothing about the result.
 func TestCompileUninstrumented(t *testing.T) {

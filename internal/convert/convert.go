@@ -17,6 +17,7 @@ package convert
 
 import (
 	"fmt"
+	"time"
 
 	"socyield/internal/bdd"
 	"socyield/internal/mdd"
@@ -140,6 +141,10 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 			return mdd.False, fmt.Errorf("convert: MDD domain %d is %d, spec wants %d", g, mm.Domain(g), d)
 		}
 	}
+	var t0 time.Time
+	if cfg.tracer != nil {
+		t0 = time.Now()
+	}
 	var steps *int64
 	if st != nil {
 		st.EntryNodes = make([]int64, len(spec.Domains))
@@ -191,6 +196,9 @@ func ToMDDWithStats(bm *bdd.Manager, root bdd.Node, mm *mdd.Manager, spec Spec, 
 		return r
 	}
 	out := conv(root)
+	if cfg.tracer != nil {
+		cfg.tracer.Event("to-romdd", "convert", 0, t0, time.Since(t0))
+	}
 	if err != nil {
 		return mdd.False, err
 	}

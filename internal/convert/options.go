@@ -14,16 +14,16 @@ type options struct {
 }
 
 // WithBuildState attaches a live progress tracker: the converter
-// counts converted entry nodes (and, in the parallel converter,
-// publishes the discovered total after pass 1), so /v1/builds and the
-// flight recorder can report layers-done/total mid-conversion.
+// counts converted entry nodes as it goes, so /v1/builds and the
+// flight recorder can report conversion progress mid-build. The total
+// is not known until the recursion finishes, so none is published.
 func WithBuildState(b *obs.BuildState) Option {
 	return func(o *options) { o.state = b }
 }
 
-// WithTracer attaches a flight-recorder tracer: each per-layer worker
-// range in the parallel converter becomes one timed event on its
-// worker's track in the Chrome trace export.
+// WithTracer attaches a flight-recorder tracer: the whole conversion
+// becomes one timed event on the build track (worker 0) of the Chrome
+// trace export, after the compile's per-gate events.
 func WithTracer(t *obs.Tracer) Option {
 	return func(o *options) { o.tracer = t }
 }

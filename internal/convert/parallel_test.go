@@ -2,20 +2,19 @@ package convert
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
-	"socyield/internal/bdd"
-	"socyield/internal/compile"
-	"socyield/internal/logic"
 	"socyield/internal/mdd"
 	"socyield/internal/order"
 )
 
 // TestToMDDParallelMatchesSerial converts the same coded ROBDD with
-// the serial recursion and with the layer-parallel converter at
-// several worker counts — into the same MDD manager, so equal ROMDD
-// structure means equal root handles — and requires identical
-// per-layer statistics.
+// the serial recursion and then, at several worker counts, on that
+// many goroutines at once — each from a coded ROBDD and into an MDD
+// manager of its own, as parallel model builds do — and requires from
+// every parallel conversion the serial ROMDD (root handle, size,
+// per-level widths) and identical per-layer statistics.
 func TestToMDDParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	trials := 20
@@ -27,7 +26,8 @@ func TestToMDDParallelMatchesSerial(t *testing.T) {
 		f := randomMonotoneFaultTree(rng, c)
 		m := 2 + rng.Intn(3)
 		mvKinds := []order.MVKind{order.MVWeight, order.MVWV, order.MVTopology}
-		p := buildPipeline(t, f, m, mvKinds[rng.Intn(len(mvKinds))], order.BitML)
+		mv := mvKinds[rng.Intn(len(mvKinds))]
+		p := buildPipeline(t, f, m, mv, order.BitML)
 
 		mm, err := mdd.New(p.spec.Domains)
 		if err != nil {
@@ -38,93 +38,61 @@ func TestToMDDParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial ToMDD: %v", err)
 		}
+		want := mm.ComputeStats(sroot)
 		for _, workers := range []int{1, 2, 4, 8} {
-			var pst Stats
-			proot, err := ToMDDParallel(p.bm, p.root, mm, p.spec, workers, &pst)
-			if err != nil {
-				t.Fatalf("ToMDDParallel(workers=%d): %v", workers, err)
-			}
-			if proot != sroot {
-				t.Fatalf("trial %d workers=%d: parallel root %d != serial root %d", trial, workers, proot, sroot)
-			}
-			if len(pst.EntryNodes) != len(sst.EntryNodes) {
-				t.Fatalf("EntryNodes length %d != %d", len(pst.EntryNodes), len(sst.EntryNodes))
-			}
-			for g := range sst.EntryNodes {
-				if pst.EntryNodes[g] != sst.EntryNodes[g] {
-					t.Fatalf("trial %d workers=%d: EntryNodes[%d] = %d, serial %d", trial, workers, g, pst.EntryNodes[g], sst.EntryNodes[g])
+			ps := make([]*pipeline, workers)
+			mms := make([]*mdd.Manager, workers)
+			for w := range ps {
+				ps[w] = buildPipeline(t, f, m, mv, order.BitML)
+				if mms[w], err = mdd.New(ps[w].spec.Domains); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if pst.SimSteps != sst.SimSteps {
-				t.Fatalf("trial %d workers=%d: SimSteps = %d, serial %d", trial, workers, pst.SimSteps, sst.SimSteps)
+			roots := make([]mdd.Node, workers)
+			pst := make([]Stats, workers)
+			errs := make([]error, workers)
+			var wg sync.WaitGroup
+			for w := range ps {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					roots[w], errs[w] = ToMDDWithStats(ps[w].bm, ps[w].root, mms[w], ps[w].spec, &pst[w])
+				}(w)
+			}
+			wg.Wait()
+			for w := range ps {
+				if errs[w] != nil {
+					t.Fatalf("trial %d workers=%d goroutine %d: ToMDD: %v", trial, workers, w, errs[w])
+				}
+				// A fresh manager fed the same conversion numbers its
+				// nodes the same way, so equal ROMDDs have equal roots.
+				if roots[w] != sroot {
+					t.Fatalf("trial %d workers=%d goroutine %d: root %d, serial %d", trial, workers, w, roots[w], sroot)
+				}
+				got := mms[w].ComputeStats(roots[w])
+				if got.Nodes != want.Nodes || len(got.PerLevel) != len(want.PerLevel) {
+					t.Fatalf("trial %d workers=%d goroutine %d: ROMDD %d nodes over %d levels, serial %d over %d",
+						trial, workers, w, got.Nodes, len(got.PerLevel), want.Nodes, len(want.PerLevel))
+				}
+				for l := range want.PerLevel {
+					if got.PerLevel[l] != want.PerLevel[l] {
+						t.Fatalf("trial %d workers=%d goroutine %d: level %d width %d, serial %d",
+							trial, workers, w, l, got.PerLevel[l], want.PerLevel[l])
+					}
+				}
+				if len(pst[w].EntryNodes) != len(sst.EntryNodes) {
+					t.Fatalf("EntryNodes length %d != %d", len(pst[w].EntryNodes), len(sst.EntryNodes))
+				}
+				for g := range sst.EntryNodes {
+					if pst[w].EntryNodes[g] != sst.EntryNodes[g] {
+						t.Fatalf("trial %d workers=%d goroutine %d: EntryNodes[%d] = %d, serial %d",
+							trial, workers, w, g, pst[w].EntryNodes[g], sst.EntryNodes[g])
+					}
+				}
+				if pst[w].SimSteps != sst.SimSteps {
+					t.Fatalf("trial %d workers=%d goroutine %d: SimSteps = %d, serial %d", trial, workers, w, pst[w].SimSteps, sst.SimSteps)
+				}
 			}
 		}
-	}
-}
-
-// TestToMDDParallelFromShared runs the conversion against the
-// concurrent engine as Source: compile the same netlist serially and
-// in parallel, convert both into one MDD manager, and require the same
-// ROMDD root.
-func TestToMDDParallelFromShared(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 8; trial++ {
-		f := randomMonotoneFaultTree(rng, 3+rng.Intn(3))
-		p := buildPipeline(t, f, 3, order.MVWeight, order.BitML)
-
-		s := bdd.NewShared(p.g.Netlist.NumInputs(), 0)
-		proot, _, err := compile.NetlistParallel(s, p.g.Netlist, p.plan.BinaryLevels, 4)
-		if err != nil {
-			t.Fatalf("NetlistParallel: %v", err)
-		}
-		mm, err := mdd.New(p.spec.Domains)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ToMDD(p.bm, p.root, mm, p.spec)
-		if err != nil {
-			t.Fatalf("serial ToMDD: %v", err)
-		}
-		got, err := ToMDDParallel(s, proot, mm, p.spec, 4, nil)
-		if err != nil {
-			t.Fatalf("ToMDDParallel: %v", err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: ROMDD from shared engine %d != serial %d", trial, got, want)
-		}
-	}
-}
-
-// TestToMDDParallelTerminals covers constant roots and validation.
-func TestToMDDParallelTerminals(t *testing.T) {
-	f := logic.New()
-	a := f.Input("a")
-	f.SetOutput(f.Or(a, f.Not(a)))
-	spec := Spec{LevelGroup: []int{0, 0}, LevelBit: []uint{1, 0}, Domains: []int{3}}
-	bm := bdd.New(2)
-	mm, err := mdd.New(spec.Domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, root := range []bdd.Node{bdd.False, bdd.True} {
-		got, err := ToMDDParallel(bm, root, mm, spec, 4, &Stats{})
-		if err != nil {
-			t.Fatalf("terminal root: %v", err)
-		}
-		want := mdd.Node(mdd.False)
-		if root == bdd.True {
-			want = mdd.True
-		}
-		if got != want {
-			t.Fatalf("terminal root %d converted to %d, want %d", root, got, want)
-		}
-	}
-	// Mismatched manager must be rejected exactly as in ToMDD.
-	bad, err := mdd.New([]int{2, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ToMDDParallel(bm, bdd.False, bad, spec, 4, nil); err == nil {
-		t.Fatal("manager/spec mismatch accepted")
 	}
 }

@@ -16,12 +16,13 @@ func TestConvertReportsProgress(t *testing.T) {
 	}
 	bs := obs.NewBuildState()
 	bs.StartPhase(obs.BuildConvert, 0)
+	tr := obs.NewTracer(16)
 	var st Stats
-	if _, err := ToMDDWithStats(p.bm, p.root, mm, p.spec, &st, WithBuildState(bs)); err != nil {
+	if _, err := ToMDDWithStats(p.bm, p.root, mm, p.spec, &st, WithBuildState(bs), WithTracer(tr)); err != nil {
 		t.Fatalf("ToMDDWithStats: %v", err)
 	}
 	snap := bs.Snapshot()
-	// The serial path learns entry counts as it recurses, so the total
+	// The converter learns entry counts as it recurses, so the total
 	// stays unknown, but every entry node is counted as done.
 	var entries int64
 	for _, n := range st.EntryNodes {
@@ -30,40 +31,8 @@ func TestConvertReportsProgress(t *testing.T) {
 	if snap.PhaseDone != entries {
 		t.Errorf("done = %d, want the %d entry nodes", snap.PhaseDone, entries)
 	}
-}
-
-func TestConvertParallelReportsProgress(t *testing.T) {
-	p := buildPipeline(t, fig2FaultTree(), 3, order.MVWeight, order.BitML)
-	mm, err := mdd.New(p.spec.Domains)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := obs.NewBuildState()
-	bs.StartPhase(obs.BuildConvert, 0)
-	tr := obs.NewTracer(1024)
-	var st Stats
-	if _, err := ToMDDParallel(p.bm, p.root, mm, p.spec, 4, &st, WithBuildState(bs), WithTracer(tr)); err != nil {
-		t.Fatalf("ToMDDParallel: %v", err)
-	}
-	snap := bs.Snapshot()
-	var entries int64
-	for _, n := range st.EntryNodes {
-		entries += int64(n)
-	}
-	// The parallel path discovers every layer up front, so the total is
-	// published and reached exactly.
-	if snap.PhaseTotal != entries {
-		t.Errorf("total = %d, want the %d entry nodes", snap.PhaseTotal, entries)
-	}
-	if snap.PhaseDone != snap.PhaseTotal {
-		t.Errorf("done = %d, total = %d; want equal after completion", snap.PhaseDone, snap.PhaseTotal)
-	}
-	if len(tr.Events()) == 0 {
-		t.Error("no layer-simulation trace events recorded")
-	}
-	for _, ev := range tr.Events() {
-		if ev.Cat != "convert" {
-			t.Errorf("event category %q, want convert", ev.Cat)
-		}
+	evs := tr.Events()
+	if len(evs) != 1 || evs[0].Cat != "convert" || evs[0].Worker != 0 {
+		t.Errorf("trace events %+v, want one convert event on worker 0", evs)
 	}
 }

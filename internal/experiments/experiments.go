@@ -89,12 +89,6 @@ type Config struct {
 	// node budget: it applies per case, so W concurrent cases can hold
 	// W × NodeLimit nodes at peak.
 	Workers int
-	// BuildWorkers is the worker count for each case's decision-diagram
-	// build (yield.Options.BuildWorkers): 0 defaults to GOMAXPROCS, 1
-	// forces the serial reference engine. Every row is bit-identical
-	// for every value; it composes with Workers (W cases × B build
-	// workers can keep W×B goroutines busy).
-	BuildWorkers int
 	// Recorder, when non-nil, instruments every evaluation the table
 	// drivers run: engine counters accumulate across cases, gauges
 	// reflect the last case finished. The registry is concurrency-safe,
@@ -275,7 +269,7 @@ func Table2(cases []Case, cfg Config) ([]Table2Row, error) {
 			res, err := yield.Evaluate(sys, yield.Options{
 				Defects: dist, Epsilon: cfg.Epsilon,
 				MVOrder: mv, BitOrder: order.BitML,
-				NodeLimit: cfg.limit(defaultOrderingNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+				NodeLimit: cfg.limit(defaultOrderingNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 			})
 			switch {
 			case err == nil:
@@ -321,7 +315,7 @@ func Table3(cases []Case, cfg Config) ([]Table3Row, error) {
 			res, err := yield.Evaluate(sys, yield.Options{
 				Defects: dist, Epsilon: cfg.Epsilon,
 				MVOrder: order.MVWeight, BitOrder: bk,
-				NodeLimit: cfg.limit(defaultPerfNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+				NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 			})
 			switch {
 			case err == nil:
@@ -379,7 +373,7 @@ func Table4(cases []Case, cfg Config) ([]Table4Row, error) {
 		res, err := yield.Evaluate(sys, yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon,
 			MVOrder: order.MVWeight, BitOrder: order.BitML,
-			NodeLimit: cfg.limit(defaultPerfNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+			NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 		})
 		row := Table4Row{Case: cs, CPU: time.Since(start)}
 		if paper, ok := paperTable4[cs]; ok {
@@ -433,7 +427,7 @@ func AblationDirectMDD(cases []Case, cfg Config) ([]AblationRow, error) {
 		opts := yield.Options{
 			Defects: dist, Epsilon: cfg.Epsilon,
 			MVOrder: order.MVWeight, BitOrder: order.BitML,
-			NodeLimit: cfg.limit(defaultPerfNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+			NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 		}
 		start := time.Now()
 		viaCoded, err := yield.Evaluate(sys, opts)
@@ -494,7 +488,7 @@ func BaselineMonteCarlo(cases []Case, samples int, cfg Config) ([]BaselineRow, e
 		}
 		start := time.Now()
 		exact, err := yield.Evaluate(sys, yield.Options{
-			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return BaselineRow{}, fmt.Errorf("%v: %w", cs, err)
@@ -561,7 +555,7 @@ func BaselineImportance(cases []Case, samples int, cfg Config) ([]ISBaselineRow,
 		}
 		start := time.Now()
 		exact, err := yield.Evaluate(sys, yield.Options{
-			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), BuildWorkers: cfg.BuildWorkers, Recorder: cfg.Recorder, Tracer: cfg.Tracer,
+			Defects: dist, Epsilon: cfg.Epsilon, NodeLimit: cfg.limit(defaultPerfNodeLimit), Recorder: cfg.Recorder, Tracer: cfg.Tracer,
 		})
 		if err != nil {
 			return ISBaselineRow{}, fmt.Errorf("%v: %w", cs, err)

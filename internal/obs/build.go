@@ -49,7 +49,7 @@ func (p BuildPhase) String() string {
 // buildPhaseStart[p] is the phase-weighted overall progress at the
 // moment phase p begins; the weight of phase p is the distance to the
 // next entry. The weights reflect the measured cost split of large
-// builds (BENCH_5/BENCH_6: compile dominates, conversion is the
+// builds (BENCH_5: compile dominates, conversion is the
 // second-largest phase, everything else is noise): prepare 1%,
 // compile 75%, convert 22%, eval 2%.
 var buildPhaseStart = [...]float64{

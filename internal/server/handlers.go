@@ -189,10 +189,9 @@ func (s *Server) resolve(req *ModelRequest) (*yield.System, []float64, yield.Opt
 		return nil, nil, opts, badRequest{err}
 	}
 	opts = yield.Options{
-		Defects:      dist,
-		Epsilon:      req.Epsilon,
-		NodeLimit:    s.cfg.NodeLimit,
-		BuildWorkers: s.cfg.BuildWorkers,
+		Defects:   dist,
+		Epsilon:   req.Epsilon,
+		NodeLimit: s.cfg.NodeLimit,
 	}
 	if req.MVOrder != "" {
 		if opts.MVOrder, err = order.ParseMVKind(req.MVOrder); err != nil {

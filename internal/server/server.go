@@ -70,12 +70,6 @@ type Config struct {
 	// SweepWorkers caps the worker pool a /v1/sweep request may ask
 	// for (default GOMAXPROCS).
 	SweepWorkers int
-	// BuildWorkers is the worker count for compiling a model's decision
-	// diagrams (yield.Options.BuildWorkers). 0 defaults to GOMAXPROCS;
-	// 1 forces the serial reference engine. Results are bit-identical
-	// for every value, so this is purely a latency knob for cache
-	// misses.
-	BuildWorkers int
 	// MaxSweepPoints bounds the grid size of one sweep request
 	// (default 4096).
 	MaxSweepPoints int
@@ -92,8 +86,8 @@ type Config struct {
 	// registry is created when nil; it is served on /metrics either
 	// way.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records per-worker build events of every
-	// model compile for the Chrome trace export (yieldd -trace-out).
+	// Tracer, when non-nil, records the build events of every model
+	// compile for the Chrome trace export (yieldd -trace-out).
 	Tracer *obs.Tracer
 	// SlowRequestThreshold is the duration beyond which a request is
 	// additionally logged at warning level (default 10s; negative
@@ -125,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SweepWorkers <= 0 {
 		c.SweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.BuildWorkers <= 0 {
-		c.BuildWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxSweepPoints <= 0 {
 		c.MaxSweepPoints = 4096

@@ -2,10 +2,8 @@ package yield
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"socyield/internal/bdd"
 	"socyield/internal/obs"
 )
 
@@ -15,35 +13,17 @@ import (
 // tick is a dozen atomic loads and stores.
 const livePublishInterval = 100 * time.Millisecond
 
-// liveSource hands the build's concurrent arena to the publisher once
-// it exists: Evaluate starts the publisher before any engine is
-// created (so the start/stop cost stays outside the measured phase
-// spans), and buildModelConcurrent stores the Shared here when it
-// allocates one. The serial engine never registers — its live-node
-// count arrives via BuildState.SetLive instead.
-type liveSource struct {
-	shared atomic.Pointer[bdd.Shared]
-}
-
-func (l *liveSource) setShared(s *bdd.Shared) {
-	if l != nil {
-		l.shared.Store(s)
-	}
-}
-
 // startLivePublisher launches a goroutine that mirrors the running
 // build into registry gauges so the flight-recorder sampler (which
-// only reads instruments) sees mid-build values: live/arena node
-// counts, the ITE-cache hit rate, lock contention so far, and the
-// phase-weighted progress of the BuildState. Everything it reads is
-// atomic — BuildState fields, and bdd.Shared.LiveStats once src holds
-// the concurrent arena — so the publisher is race-free against the
-// build workers.
+// only reads instruments) sees mid-build values: the live ROBDD node
+// count and the phase-weighted progress of the BuildState. Everything
+// it reads is a BuildState atomic, so the publisher is race-free
+// against the build goroutine.
 //
 // The returned stop function halts the goroutine; it performs no final
 // flush (end-of-run gauge values come from EngineStats.publish). With
 // a nil registry nothing starts and stop is a no-op.
-func startLivePublisher(rec *obs.Registry, bs *obs.BuildState, src *liveSource) (stop func()) {
+func startLivePublisher(rec *obs.Registry, bs *obs.BuildState) (stop func()) {
 	if rec == nil {
 		return func() {}
 	}
@@ -54,10 +34,6 @@ func startLivePublisher(rec *obs.Registry, bs *obs.BuildState, src *liveSource) 
 		defer wg.Done()
 		var (
 			gLive       = rec.Gauge("bdd.live")
-			gArena      = rec.Gauge("bdd.arena_nodes")
-			gHitRate    = rec.FloatGauge("bdd.ite_hit_rate")
-			gShardCont  = rec.Gauge("bdd.shard_contention_live")
-			gCacheCont  = rec.Gauge("bdd.cache_contention_live")
 			gPhase      = rec.Gauge("build.phase")
 			gPhaseDone  = rec.Gauge("build.phase_done")
 			gPhaseTotal = rec.Gauge("build.phase_total")
@@ -69,16 +45,7 @@ func startLivePublisher(rec *obs.Registry, bs *obs.BuildState, src *liveSource) 
 			gPhaseDone.Set(st.PhaseDone)
 			gPhaseTotal.Set(st.PhaseTotal)
 			gProgress.Set(st.Progress)
-			if s := src.shared.Load(); s != nil {
-				ls := s.LiveStats()
-				gLive.Set(int64(ls.Live))
-				gArena.Set(int64(ls.ArenaNodes))
-				gShardCont.Set(ls.ShardContention)
-				gCacheCont.Set(ls.CacheContention)
-				if lookups := ls.ApplyCacheHits + ls.ApplyCacheMisses; lookups > 0 {
-					gHitRate.Set(float64(ls.ApplyCacheHits) / float64(lookups))
-				}
-			} else if st.LiveNodes > 0 {
+			if st.LiveNodes > 0 {
 				gLive.Set(st.LiveNodes)
 			}
 		}

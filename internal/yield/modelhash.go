@@ -34,9 +34,6 @@ import (
 // deliberately NOT part of the key beyond their effect on M: the ROMDD
 // is independent of them, which is exactly what makes a compiled-model
 // cache effective for (λ, α) exploration against a fixed structure.
-// BuildWorkers is likewise excluded: the serial and concurrent build
-// engines produce bit-identical models for every worker count, so the
-// worker count is a throughput knob, not part of the model identity.
 func ModelKey(sys *System, opts Options) (key string, m int, err error) {
 	o, err := opts.withDefaults()
 	if err != nil {

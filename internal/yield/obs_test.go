@@ -185,3 +185,46 @@ func TestReevaluatorRecorder(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildPublishesCompileTableSizes pins the order of the build's
+// bookkeeping: the ROBDD manager releases its ITE cache and unique
+// table before conversion, so the published table sizes must come
+// from the compile-time snapshot taken before that release, not from
+// the released (empty) manager.
+func TestBuildPublishesCompileTableSizes(t *testing.T) {
+	sys := tmrSystem(0.2, 0.15, 0.15)
+	dist, err := defects.NewNegativeBinomial(2, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, rec *obs.Registry, res *Result) {
+		t.Helper()
+		bs := res.Stats.BDD
+		if bs.ApplyCacheSize <= 0 || bs.UniqueTableBuckets <= 0 {
+			t.Fatalf("compile snapshot has %d cache entries, %d buckets; want both > 0", bs.ApplyCacheSize, bs.UniqueTableBuckets)
+		}
+		snap := rec.Snapshot()
+		if g := snap.Gauges["bdd.apply_cache_entries"]; g != int64(bs.ApplyCacheSize) {
+			t.Errorf("bdd.apply_cache_entries = %d, want %d", g, bs.ApplyCacheSize)
+		}
+		if g := snap.Gauges["bdd.unique_table_buckets"]; g != int64(bs.UniqueTableBuckets) {
+			t.Errorf("bdd.unique_table_buckets = %d, want %d", g, bs.UniqueTableBuckets)
+		}
+	}
+	t.Run("Evaluate", func(t *testing.T) {
+		rec := obs.NewRegistry()
+		res, err := Evaluate(sys, Options{Defects: dist, Epsilon: 1e-4, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, rec, res)
+	})
+	t.Run("NewReevaluator", func(t *testing.T) {
+		rec := obs.NewRegistry()
+		re, err := NewReevaluator(sys, Options{Defects: dist, Epsilon: 1e-4, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, rec, re.Result)
+	})
+}

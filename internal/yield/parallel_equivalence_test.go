@@ -3,22 +3,37 @@ package yield
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"socyield/internal/order"
 )
 
+// evaluateInParallel runs Evaluate on workers goroutines at once, all
+// on the same system and options.
+func evaluateInParallel(sys *System, opts Options, workers int) ([]*Result, []error) {
+	res := make([]*Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			res[w], errs[w] = Evaluate(sys, opts)
+		}(w)
+	}
+	wg.Wait()
+	return res, errs
+}
+
 // TestParallelBuildEquivalence runs the full pipeline on randomized
-// fault trees with the serial reference engine (BuildWorkers=1) and
-// with the concurrent build engine at several worker counts, and
-// asserts the results are identical to the last bit. Both engines are
-// canonical for the same variable order, so they compile the same
-// coded ROBDD function, the layer-parallel conversion builds the same
-// ROMDD through the same reducing unique table, and the probability
-// traversal — which depends only on the ROMDD's structure, never on
-// node numbering or scheduling — performs the same float64 operations:
-// yield, M, error bound and both diagram sizes must match under ==,
-// not a tolerance, for every worker count.
+// fault trees once on its own and then on several goroutines at once,
+// as the server and the table runner build models, and asserts the
+// results are identical to the last bit. Each build owns its managers,
+// so parallel builds compile the same coded ROBDD, convert it to the
+// same ROMDD, and the probability traversal performs the same float64
+// operations: yield, M, error bound and both diagram sizes must match
+// under ==, not a tolerance, for every worker count.
 func TestParallelBuildEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	mvKinds := []order.MVKind{order.MVWeight, order.MVWV, order.MVVW, order.MVTopology, order.MVH4}
@@ -33,10 +48,9 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		dist := randomDistribution(rng)
 		eps := []float64{5e-2, 1e-2, 2e-3}[rng.Intn(3)]
 		opts := Options{
-			Defects:      dist,
-			Epsilon:      eps,
-			MVOrder:      mvKinds[rng.Intn(len(mvKinds))],
-			BuildWorkers: 1,
+			Defects: dist,
+			Epsilon: eps,
+			MVOrder: mvKinds[rng.Intn(len(mvKinds))],
 		}
 		name := fmt.Sprintf("tree %d (C=%d, %v, ε=%g, mv=%v)", i, c, dist, eps, opts.MVOrder)
 
@@ -44,45 +58,40 @@ func TestParallelBuildEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial evaluate: %v", name, err)
 		}
-		if serial.Stats.BuildWorkers != 1 {
-			t.Fatalf("%s: serial run reports BuildWorkers=%d", name, serial.Stats.BuildWorkers)
-		}
 		for _, workers := range workerCounts {
-			popts := opts
-			popts.BuildWorkers = workers
-			par, err := Evaluate(sys, popts)
-			if err != nil {
-				t.Fatalf("%s: parallel evaluate (workers=%d): %v", name, workers, err)
-			}
-			if par.Stats.BuildWorkers != workers {
-				t.Errorf("%s: parallel run reports BuildWorkers=%d, want %d", name, par.Stats.BuildWorkers, workers)
-			}
-			if par.M != serial.M {
-				t.Errorf("%s workers=%d: truncation point differs: %d vs %d", name, workers, par.M, serial.M)
-			}
-			if par.Yield != serial.Yield {
-				t.Errorf("%s workers=%d: Y_M differs: %.17g vs %.17g", name, workers, par.Yield, serial.Yield)
-			}
-			if par.ErrorBound != serial.ErrorBound {
-				t.Errorf("%s workers=%d: error bound differs: %.17g vs %.17g", name, workers, par.ErrorBound, serial.ErrorBound)
-			}
-			// Both diagrams are canonical for the variable order, so the
-			// sizes cannot depend on the engine or its scheduling.
-			if par.CodedROBDDSize != serial.CodedROBDDSize {
-				t.Errorf("%s workers=%d: coded ROBDD size differs: %d vs %d", name, workers, par.CodedROBDDSize, serial.CodedROBDDSize)
-			}
-			if par.ROMDDSize != serial.ROMDDSize {
-				t.Errorf("%s workers=%d: ROMDD size differs: %d vs %d", name, workers, par.ROMDDSize, serial.ROMDDSize)
-			}
-			// The conversion statistics are layer-set cardinalities and
-			// simulation counts over the same entry sets — deterministic.
-			if par.Stats.Convert.SimSteps != serial.Stats.Convert.SimSteps {
-				t.Errorf("%s workers=%d: SimSteps differ: %d vs %d", name, workers, par.Stats.Convert.SimSteps, serial.Stats.Convert.SimSteps)
-			}
-			for g := range serial.Stats.Convert.EntryNodes {
-				if par.Stats.Convert.EntryNodes[g] != serial.Stats.Convert.EntryNodes[g] {
-					t.Errorf("%s workers=%d: EntryNodes[%d] differ: %d vs %d", name, workers, g,
-						par.Stats.Convert.EntryNodes[g], serial.Stats.Convert.EntryNodes[g])
+			pars, errs := evaluateInParallel(sys, opts, workers)
+			for w, par := range pars {
+				if errs[w] != nil {
+					t.Fatalf("%s: parallel evaluate (workers=%d, goroutine %d): %v", name, workers, w, errs[w])
+				}
+				if par.M != serial.M {
+					t.Errorf("%s workers=%d: truncation point differs: %d vs %d", name, workers, par.M, serial.M)
+				}
+				if par.Yield != serial.Yield {
+					t.Errorf("%s workers=%d: Y_M differs: %.17g vs %.17g", name, workers, par.Yield, serial.Yield)
+				}
+				if par.ErrorBound != serial.ErrorBound {
+					t.Errorf("%s workers=%d: error bound differs: %.17g vs %.17g", name, workers, par.ErrorBound, serial.ErrorBound)
+				}
+				// Both diagrams are canonical for the variable order, so
+				// the sizes cannot depend on what else runs alongside.
+				if par.CodedROBDDSize != serial.CodedROBDDSize {
+					t.Errorf("%s workers=%d: coded ROBDD size differs: %d vs %d", name, workers, par.CodedROBDDSize, serial.CodedROBDDSize)
+				}
+				if par.ROMDDSize != serial.ROMDDSize {
+					t.Errorf("%s workers=%d: ROMDD size differs: %d vs %d", name, workers, par.ROMDDSize, serial.ROMDDSize)
+				}
+				// The conversion statistics are layer-set cardinalities
+				// and simulation counts over the same entry sets —
+				// deterministic.
+				if par.Stats.Convert.SimSteps != serial.Stats.Convert.SimSteps {
+					t.Errorf("%s workers=%d: SimSteps differ: %d vs %d", name, workers, par.Stats.Convert.SimSteps, serial.Stats.Convert.SimSteps)
+				}
+				for g := range serial.Stats.Convert.EntryNodes {
+					if par.Stats.Convert.EntryNodes[g] != serial.Stats.Convert.EntryNodes[g] {
+						t.Errorf("%s workers=%d: EntryNodes[%d] differ: %d vs %d", name, workers, g,
+							par.Stats.Convert.EntryNodes[g], serial.Stats.Convert.EntryNodes[g])
+					}
 				}
 			}
 		}
@@ -90,27 +99,29 @@ func TestParallelBuildEquivalence(t *testing.T) {
 }
 
 // TestParallelBuildReevaluator checks the Reevaluator route: a sweep
-// on a concurrently built model must be bit-identical to the same
-// sweep on a serially built one.
+// on a model built while other builds run must be bit-identical to
+// the same sweep on a model built on its own.
 func TestParallelBuildReevaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sys := randomOracleSystem(rng, 5)
 	dist := randomDistribution(rng)
-	base := Options{Defects: dist, Epsilon: 1e-2, BuildWorkers: 1}
+	base := Options{Defects: dist, Epsilon: 1e-2}
 	rs, err := NewReevaluator(sys, base)
 	if err != nil {
 		t.Fatalf("serial reevaluator: %v", err)
 	}
-	par := base
-	par.BuildWorkers = 4
-	rp, err := NewReevaluator(sys, par)
-	if err != nil {
-		t.Fatalf("parallel reevaluator: %v", err)
+	const workers = 4
+	rps := make([]*Reevaluator, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range rps {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rps[w], errs[w] = NewReevaluator(sys, base)
+		}(w)
 	}
-	if rs.Result.Yield != rp.Result.Yield || rs.Result.ROMDDSize != rp.Result.ROMDDSize {
-		t.Fatalf("build results differ: yield %.17g vs %.17g, romdd %d vs %d",
-			rs.Result.Yield, rp.Result.Yield, rs.Result.ROMDDSize, rp.Result.ROMDDSize)
-	}
+	wg.Wait()
 	ps := make([]float64, len(sys.Components))
 	for i := range ps {
 		ps[i] = 0.01 + 0.1*float64(i+1)/float64(len(ps))
@@ -119,29 +130,20 @@ func TestParallelBuildReevaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yp, _, err := rp.Yield(ps, dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ys != yp {
-		t.Fatalf("reevaluated yields differ: %.17g vs %.17g", ys, yp)
-	}
-}
-
-// TestBuildWorkersValidation pins the option semantics: negative is
-// rejected, zero resolves to GOMAXPROCS (≥ 1).
-func TestBuildWorkersValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	sys := randomOracleSystem(rng, 3)
-	dist := randomDistribution(rng)
-	if _, err := Evaluate(sys, Options{Defects: dist, BuildWorkers: -1}); err == nil {
-		t.Fatal("BuildWorkers=-1 accepted")
-	}
-	res, err := Evaluate(sys, Options{Defects: dist})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.BuildWorkers < 1 {
-		t.Fatalf("default BuildWorkers resolved to %d", res.Stats.BuildWorkers)
+	for w, rp := range rps {
+		if errs[w] != nil {
+			t.Fatalf("parallel reevaluator %d: %v", w, errs[w])
+		}
+		if rs.Result.Yield != rp.Result.Yield || rs.Result.ROMDDSize != rp.Result.ROMDDSize {
+			t.Fatalf("build results differ: yield %.17g vs %.17g, romdd %d vs %d",
+				rs.Result.Yield, rp.Result.Yield, rs.Result.ROMDDSize, rp.Result.ROMDDSize)
+		}
+		yp, _, err := rp.Yield(ps, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ys != yp {
+			t.Fatalf("reevaluated yields differ: %.17g vs %.17g", ys, yp)
+		}
 	}
 }

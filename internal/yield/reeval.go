@@ -45,8 +45,7 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	rec := opts.Recorder
 	bs := opts.BuildState
 	// As in Evaluate: publisher start/stop stays outside the root span.
-	src := &liveSource{}
-	stopLive := startLivePublisher(rec, bs, src)
+	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
 	buildSpan := rec.Span("reevaluator-build")
 	defer buildSpan.End()
@@ -61,7 +60,6 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.live = src
 	sp = buildSpan.Child("encode")
 	t0 = time.Now()
 	g, err := encode.BuildG(sys.FaultTree, p.m)
@@ -103,6 +101,7 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 		return nil, err
 	}
 	res.Yield = 1 - pg1
+	buildSpan.End()
 	res.Stats.publish(rec)
 	publishResult(rec, res)
 	return &Reevaluator{

@@ -39,16 +39,6 @@ type EngineStats struct {
 	// consensus measurement that the coded ROBDD is the larger of the
 	// two (0 when either size is unknown).
 	ROBDDToROMDDRatio float64
-	// BuildWorkers is the resolved worker count the build phases ran
-	// with (1 = serial reference engine). CompileTasks and
-	// CompileSteals report the work-stealing compile pool's task-DAG
-	// size and cross-worker steal count; together with
-	// BDD.ShardContention and BDD.CacheContention they quantify how
-	// much the concurrent engine's workers got in each other's way.
-	// All zero (BuildWorkers 1) on serial builds.
-	BuildWorkers  int
-	CompileTasks  int64
-	CompileSteals int64
 }
 
 // publish flushes the engine stats into a metrics registry. Counter
@@ -72,11 +62,6 @@ func (s *EngineStats) publish(rec *obs.Registry) {
 	rec.Gauge("bdd.arena_nodes").Set(int64(s.BDD.ArenaNodes))
 	rec.Gauge("bdd.unique_table_buckets").Set(int64(s.BDD.UniqueTableBuckets))
 	rec.Gauge("bdd.apply_cache_entries").Set(int64(s.BDD.ApplyCacheSize))
-	rec.Gauge("build.workers").Set(int64(s.BuildWorkers))
-	rec.Counter("compile.tasks").Add(s.CompileTasks)
-	rec.Counter("compile.steals").Add(s.CompileSteals)
-	rec.Counter("bdd.shard_contention").Add(s.BDD.ShardContention)
-	rec.Counter("bdd.cache_contention").Add(s.BDD.CacheContention)
 
 	rec.Counter("mdd.unique_table_hits").Add(s.MDD.UniqueTableHits)
 	rec.Counter("mdd.nodes_created").Add(s.MDD.NodesCreated)

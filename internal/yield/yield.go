@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"socyield/internal/bdd"
@@ -123,17 +122,6 @@ type Options struct {
 	// NodeLimit bounds live ROBDD nodes (and ROMDD nodes); 0 means
 	// unlimited. Exceeding it aborts with ErrNodeLimit.
 	NodeLimit int
-	// BuildWorkers sets the worker count for the one-time build phases
-	// (coded-ROBDD compilation and ROMDD conversion). 0 defaults to
-	// runtime.GOMAXPROCS(0); 1 selects the serial reference engine;
-	// ≥ 2 selects the concurrent engine with that many workers.
-	// Negative values are rejected. Results are bit-identical for
-	// every worker count — both engines build the same canonical
-	// diagrams — so BuildWorkers is excluded from ModelKey like the
-	// other result-invariant knobs. The validation routes
-	// (EvaluateOnCodedROBDD, EvaluateDirectMDD, BruteForce) always run
-	// serially regardless of this setting.
-	BuildWorkers int
 	// ForceM overrides the computed truncation point when > 0 has been
 	// set together with ForceMSet; used by experiments that pin M.
 	ForceM    int
@@ -150,9 +138,9 @@ type Options struct {
 	// is what the yieldd /v1/builds endpoint and the flight-recorder
 	// sampler read. Excluded from ModelKey: it does not affect results.
 	BuildState *obs.BuildState
-	// Tracer, when non-nil, records per-worker timed work slices
-	// (compile tasks, conversion layer ranges) for the Chrome trace
-	// export. Excluded from ModelKey like Recorder and BuildState.
+	// Tracer, when non-nil, records timed work slices (one per compiled
+	// gate, one for the conversion) on the build track of the Chrome
+	// trace export. Excluded from ModelKey like Recorder and BuildState.
 	Tracer *obs.Tracer
 	// bddOptions carries extra engine options into the coded-ROBDD
 	// manager. Unexported: it exists so the equivalence tests can run
@@ -191,12 +179,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.NodeLimit < 0 {
 		return out, fmt.Errorf("yield: NodeLimit = %d < 0", out.NodeLimit)
-	}
-	if out.BuildWorkers < 0 {
-		return out, fmt.Errorf("yield: BuildWorkers = %d < 0", out.BuildWorkers)
-	}
-	if out.BuildWorkers == 0 {
-		out.BuildWorkers = runtime.GOMAXPROCS(0)
 	}
 	return out, nil
 }
@@ -254,7 +236,6 @@ type Result struct {
 // prepared carries the model quantities shared by all routes.
 type prepared struct {
 	opts   Options
-	live   *liveSource
 	pprime []float64 // P'_i by component ordinal
 	qprime []float64 // Q'_0..Q'_M
 	tail   float64
@@ -352,8 +333,7 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 	// The publisher starts (and its stop handshake runs) outside the
 	// root span, so live publishing does not eat into the inter-phase
 	// budget the span-coverage tests bound.
-	src := &liveSource{}
-	stopLive := startLivePublisher(rec, bs, src)
+	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
 	evalSpan := rec.Span("evaluate")
 	defer evalSpan.End()
@@ -368,7 +348,6 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.live = src
 
 	sp = evalSpan.Child("encode")
 	t0 = time.Now()
@@ -393,6 +372,7 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 
 	mm, mroot, err := p.buildModel(evalSpan, g, plan, res)
 	if err != nil {
+		evalSpan.End()
 		res.Stats.publish(rec)
 		publishResult(rec, res)
 		return res, err
@@ -408,6 +388,9 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res.Yield = 1 - pg1
+	// Publishing is reporting, not evaluation: it runs after the root
+	// span ends, so the phase spans cover the whole root.
+	evalSpan.End()
 	res.Stats.publish(rec)
 	publishResult(rec, res)
 	return res, nil

@@ -10,9 +10,9 @@ import (
 )
 
 // TestFlightRecorderESENTrace runs the flight recorder over a real
-// parallel ESEN8x2 build and checks the Chrome trace export carries
-// the pipeline's phase spans, per-worker build tracks and sampled
-// counter series — the Perfetto-loadable artifact -trace-out produces.
+// ESEN8x2 build and checks the Chrome trace export carries the
+// pipeline's phase spans, the build track and sampled counter series
+// — the Perfetto-loadable artifact -trace-out produces.
 func TestFlightRecorderESENTrace(t *testing.T) {
 	sys, err := socyield.ESEN(8, 2)
 	if err != nil {
@@ -28,12 +28,11 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 	sampler := socyield.NewSampler(rec, time.Millisecond, 0)
 	sampler.Start()
 	// ε = 2e-2 keeps the truncation point small enough for a test while
-	// still exercising the full multi-phase parallel build.
+	// still exercising the full multi-phase build.
 	_, err = socyield.Evaluate(sys, socyield.Options{
 		Defects: dist, Epsilon: 2e-2,
-		BuildWorkers: 4,
-		Recorder:     rec,
-		Tracer:       tracer,
+		Recorder: rec,
+		Tracer:   tracer,
 	})
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
@@ -92,10 +91,10 @@ func TestFlightRecorderESENTrace(t *testing.T) {
 			t.Errorf("phase span %q missing (have %v)", want, phases)
 		}
 	}
-	// The 4-worker build must produce more than one worker track, each
-	// announced by a thread_name metadata row.
-	if len(workerTracks) < 2 {
-		t.Errorf("trace has worker tracks %v, want at least 2 (parallel build)", workerTracks)
+	// The build's events land on a worker track announced by a
+	// thread_name metadata row.
+	if len(workerTracks) < 1 {
+		t.Errorf("trace has worker tracks %v, want at least 1 (the build track)", workerTracks)
 	}
 	if workerEvents == 0 {
 		t.Error("no per-worker build events in the trace")
