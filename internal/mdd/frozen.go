@@ -39,32 +39,46 @@ func (m *Manager) Freeze(n Node) *Frozen {
 	if m.IsTerminal(n) {
 		return f
 	}
-	// Post-order DFS assigns compact indices so that children precede
-	// parents; remap[] carries old → new indices.
+	// A post-order DFS assigns compact indices so that children precede
+	// parents; remap[] carries old → new indices. The walk is iterative
+	// (an explicit stack of (node, next child) frames) and visits the
+	// children in domain-value order, which fixes the numbering that
+	// encoded models depend on. A node is emitted once all its children
+	// are numbered, with their compact indices written straight into
+	// f.kids. (A counting pass that sizes the arrays exactly was faster
+	// still, but allocating less here let the build's garbage outlive
+	// the server's store write and raised its peak RSS.)
 	remap := make([]int32, len(m.nodes))
 	for i := range remap {
 		remap[i] = nilIdx
 	}
 	remap[False], remap[True] = 0, 1
-	var walk func(Node) int32
-	walk = func(x Node) int32 {
-		if remap[x] != nilIdx {
-			return remap[x]
-		}
-		lv := int(m.nodes[x].level)
-		old := m.Kids(x)
-		mapped := make([]int32, len(old))
-		for i, k := range old {
-			mapped[i] = walk(k)
-		}
-		idx := int32(len(f.levels))
-		f.levels = append(f.levels, int32(lv))
-		f.kidsOff = append(f.kidsOff, int32(len(f.kids)))
-		f.kids = append(f.kids, mapped...)
-		remap[x] = idx
-		return idx
+	type frame struct {
+		node Node
+		next int
 	}
-	f.root = walk(n)
+	stack := []frame{{node: n}}
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		kids := m.Kids(top.node)
+		for top.next < len(kids) && remap[kids[top.next]] != nilIdx {
+			top.next++
+		}
+		if top.next < len(kids) {
+			k := kids[top.next]
+			top.next++
+			stack = append(stack, frame{node: k})
+			continue
+		}
+		remap[top.node] = int32(len(f.levels))
+		f.levels = append(f.levels, m.nodes[top.node].level)
+		f.kidsOff = append(f.kidsOff, int32(len(f.kids)))
+		for _, k := range kids {
+			f.kids = append(f.kids, remap[k])
+		}
+		stack = stack[:len(stack)-1]
+	}
+	f.root = remap[n]
 	return f
 }
 
@@ -245,11 +259,13 @@ func (f *Frozen) probInto(probs [][]float64, vals []float64) float64 {
 		lv := f.levels[i]
 		row := probs[lv]
 		off := int(f.kidsOff[i])
+		kids := f.kids[off : off+len(row)]
+		// No p != 0 test as in Manager.Prob: a zero p adds p·x = +0,
+		// which leaves the sum bit-identical for finite values, and the
+		// loop stays branch-free.
 		total := 0.0
-		for v, k := range f.kids[off : off+len(row)] {
-			if p := row[v]; p != 0 {
-				total += p * vals[k]
-			}
+		for v, p := range row {
+			total += p * vals[kids[v]]
 		}
 		vals[i] = total
 	}

@@ -3,6 +3,7 @@ package mdd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -225,5 +226,118 @@ func TestFrozenConcurrentReads(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatalf("concurrent read mismatch (err=%v)", e)
+	}
+}
+
+// zeroedProbs is randomProbs with zero entries mixed in: about a third
+// of the values of every row are zeroed, and some rows keep a single
+// nonzero value. The Frozen pass adds those zero terms where
+// Manager.Prob skips them, so these tables exercise the case where the
+// two passes do different work yet must agree bit for bit.
+func zeroedProbs(m *Manager, rng *rand.Rand) [][]float64 {
+	probs := randomProbs(m, rng)
+	for _, row := range probs {
+		if rng.Intn(4) == 0 {
+			keep := rng.Intn(len(row))
+			for v := range row {
+				if v != keep {
+					row[v] = 0
+				}
+			}
+			row[keep] = 1
+			continue
+		}
+		for v := range row {
+			if rng.Intn(3) == 0 {
+				row[v] = 0
+			}
+		}
+	}
+	return probs
+}
+
+// TestFrozenProbBitIdenticalToManager checks Frozen.Prob against
+// Manager.Prob with ==, on random ROMDDs over several domain shapes and
+// on probability tables with and without zero entries.
+func TestFrozenProbBitIdenticalToManager(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	shapes := [][]int{{2, 2, 2, 2}, {3, 5, 2, 4, 3}, {6, 7, 7, 7}, {4, 2, 9, 2, 3, 5}}
+	for trial := 0; trial < 200; trial++ {
+		m := MustNew(shapes[trial%len(shapes)])
+		root, _, err := randomMDD(m, rng, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := m.Freeze(root)
+		var buf ProbBuffer
+		for i := 0; i < 8; i++ {
+			probs := randomProbs(m, rng)
+			if i%2 == 1 {
+				probs = zeroedProbs(m, rng)
+			}
+			want, err := m.Prob(root, probs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := f.Prob(probs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d table %d: frozen %v (%#x), manager %v (%#x)",
+					trial, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if got2, err := f.ProbWith(probs, &buf); err != nil || math.Float64bits(got2) != math.Float64bits(want) {
+				t.Fatalf("trial %d table %d: ProbWith %v, %v; want %v", trial, i, got2, err, want)
+			}
+		}
+	}
+}
+
+// freezeRecursive is the reference numbering of Freeze: a recursive
+// post-order DFS over the children in domain-value order. Encoded
+// models store this numbering, so Freeze must reproduce it exactly.
+func freezeRecursive(m *Manager, n Node) FrozenData {
+	d := FrozenData{
+		Domains: append([]int32(nil), m.domains...),
+		Levels:  []int32{int32(len(m.domains)), int32(len(m.domains))},
+		Root:    int32(n),
+	}
+	if m.IsTerminal(n) {
+		return d
+	}
+	remap := map[Node]int32{False: 0, True: 1}
+	var walk func(Node) int32
+	walk = func(x Node) int32 {
+		if idx, ok := remap[x]; ok {
+			return idx
+		}
+		var mapped []int32
+		for _, k := range m.Kids(x) {
+			mapped = append(mapped, walk(k))
+		}
+		idx := int32(len(d.Levels))
+		d.Levels = append(d.Levels, int32(m.Level(x)))
+		d.Kids = append(d.Kids, mapped...)
+		remap[x] = idx
+		return idx
+	}
+	d.Root = walk(n)
+	return d
+}
+
+func TestFreezeNumberingMatchesRecursiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		m := MustNew([]int{3, 2, 5, 4, 2})
+		root, _, err := randomMDD(m, rng, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := m.Freeze(root).Data(), freezeRecursive(m, root)
+		if got.Root != want.Root || !slices.Equal(got.Levels, want.Levels) ||
+			!slices.Equal(got.Kids, want.Kids) || !slices.Equal(got.Domains, want.Domains) {
+			t.Fatalf("trial %d: Freeze data %+v, recursive reference %+v", trial, got, want)
+		}
 	}
 }

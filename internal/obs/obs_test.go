@@ -242,6 +242,64 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
+// TestSpanChainTiles checks that a First/Next chain tiles its parent:
+// the first phase starts at the parent's start, each later phase at
+// the exact instant its predecessor ended, ending the parent ends the
+// running phase at the same instant, and a span already ended keeps
+// its duration.
+func TestSpanChainTiles(t *testing.T) {
+	r := NewRegistry()
+	root := r.Span("evaluate")
+	time.Sleep(100 * time.Microsecond)
+	sp := root.First("prepare")
+	first := sp
+	if !first.start.Equal(root.start) {
+		t.Errorf("first phase starts at %v, root at %v", first.start, root.start)
+	}
+	for _, name := range []string{"encode", "order", "compile"} {
+		time.Sleep(100 * time.Microsecond)
+		sp = sp.Next(name)
+	}
+	sp.End()
+	ended := sp.End()
+	late := sp.Next("late")
+	if late == nil || sp.End() != ended {
+		t.Error("Next on an ended span changed its duration")
+	}
+	time.Sleep(100 * time.Microsecond)
+	root.End()
+	if !late.ended || !late.start.Add(late.dur).Equal(root.start.Add(root.dur)) {
+		t.Error("ending the root did not end its running phase at the same instant")
+	}
+
+	root.mu.Lock()
+	kids := append([]*Span(nil), root.children...)
+	root.mu.Unlock()
+	if len(kids) != 5 || kids[0] != first {
+		t.Fatalf("root has %d children, want prepare, encode, order, compile, late", len(kids))
+	}
+	for i := 1; i < 4; i++ {
+		prev, cur := kids[i-1], kids[i]
+		if !prev.ended || !prev.start.Add(prev.dur).Equal(cur.start) {
+			t.Errorf("%s ends at %v, %s starts at %v: want the same instant",
+				prev.name, prev.start.Add(prev.dur), cur.name, cur.start)
+		}
+		if cur.parent != root {
+			t.Errorf("%s is not a child of the root", cur.name)
+		}
+	}
+
+	// On a root span the sibling is timed but detached; nil is inert.
+	detached := r.Span("alone").Next("sibling")
+	if detached == nil || detached.Name() != "sibling" || len(r.Snapshot().Spans) != 2 {
+		t.Errorf("Next on a root span: got %v, %d roots; want a detached span and 2 roots", detached, len(r.Snapshot().Spans))
+	}
+	var nilSpan *Span
+	if nilSpan.Next("x") != nil || nilSpan.First("x") != nil {
+		t.Error("First or Next on a nil span returned non-nil")
+	}
+}
+
 func TestRootSpanCap(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < maxRootSpans+10; i++ {

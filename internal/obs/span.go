@@ -14,8 +14,9 @@ import (
 // All methods are safe for concurrent use and no-ops on a nil
 // receiver, so un-instrumented runs pay nothing.
 type Span struct {
-	name  string
-	start time.Time
+	name   string
+	start  time.Time
+	parent *Span // nil for a root span
 
 	mu       sync.Mutex
 	dur      time.Duration
@@ -32,24 +33,70 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := newSpan(name)
+	return s.addChild(name, time.Now())
+}
+
+func (s *Span) addChild(name string, start time.Time) *Span {
+	c := &Span{name: name, start: start, parent: s}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
 }
 
-// End stops the span and returns its duration. Repeated End calls keep
-// the first duration. On a nil receiver it returns 0.
+// First opens the first phase of a chain under s: a child that starts
+// at s's own start instant. A chain opened with First and continued
+// with Next, whose parent is ended with End, tiles the parent exactly:
+// every instant of s belongs to one phase. Returns nil on a nil
+// receiver.
+func (s *Span) First(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.addChild(name, s.start)
+}
+
+// Next ends s and opens its sibling name at the same instant, so a
+// chain of phases opened with Next leaves no gap between one phase's
+// end and the next one's start. A span already ended keeps its first
+// duration. On a root span the sibling is timed but belongs to no
+// tree, since roots are opened through the Registry. Returns nil on a
+// nil receiver.
+func (s *Span) Next(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	now := time.Now()
+	s.endAt(now)
+	if s.parent == nil {
+		return &Span{name: name, start: now}
+	}
+	return s.parent.addChild(name, now)
+}
+
+// End stops the span, and at the same instant every child still
+// running, so a parent never ends before its children and the last
+// phase of a chain ends exactly with its parent. It returns the span's
+// duration. Repeated End calls keep the first duration. On a nil
+// receiver it returns 0.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
 	}
+	return s.endAt(time.Now())
+}
+
+// endAt ends s and its running descendants at now. Locks are taken
+// parent before child, never the other way round.
+func (s *Span) endAt(now time.Time) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.ended {
-		s.dur = time.Since(s.start)
+		s.dur = now.Sub(s.start)
 		s.ended = true
+		for _, c := range s.children {
+			c.endAt(now)
+		}
 	}
 	return s.dur
 }

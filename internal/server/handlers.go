@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"socyield/internal/benchmarks"
 	"socyield/internal/defects"
 	"socyield/internal/ftdsl"
 	"socyield/internal/order"
@@ -162,69 +161,91 @@ type badRequest struct{ err error }
 
 func (b badRequest) Error() string { return b.err.Error() }
 
+// resolved is a request's system, per-component lethalities and
+// options, with the ModelKey memo of a bench system (nil for ftdsl
+// input).
+type resolved struct {
+	sys  *yield.System
+	ps   []float64
+	opts yield.Options
+	keys *yield.KeyMemo
+}
+
 // resolve turns a ModelRequest into the system, its per-component
 // lethalities and the yield.Options the CLI path would use for the
 // same inputs — same defaults, same validation — so server results are
-// bit-identical to yield.Evaluate.
-func (s *Server) resolve(req *ModelRequest) (*yield.System, []float64, yield.Options, error) {
-	var opts yield.Options
-	var sys *yield.System
-	var err error
+// bit-identical to yield.Evaluate. Bench systems come from the
+// resolved-system table and are shared between requests; lethality
+// overrides go into a shallow copy with its own Components.
+func (s *Server) resolve(req *ModelRequest) (resolved, error) {
+	var r resolved
 	switch {
 	case req.Bench != "" && req.FTDSL != "":
-		return nil, nil, opts, badRequest{errors.New(`give either "bench" or "ftdsl", not both`)}
+		return r, badRequest{errors.New(`give either "bench" or "ftdsl", not both`)}
 	case req.Bench != "":
-		if sys, err = benchmarks.ByName(req.Bench); err != nil {
-			return nil, nil, opts, badRequest{err}
+		e, err := s.systems.get(req.Bench)
+		if err != nil {
+			return r, badRequest{err}
 		}
+		r.sys, r.keys = e.sys, e.keys
 	case req.FTDSL != "":
-		if sys, err = ftdsl.Parse(req.FTDSL); err != nil {
-			return nil, nil, opts, badRequest{err}
+		sys, err := ftdsl.Parse(req.FTDSL)
+		if err != nil {
+			return r, badRequest{err}
 		}
+		r.sys = sys
 	default:
-		return nil, nil, opts, badRequest{errors.New(`give "bench" or "ftdsl"`)}
+		return r, badRequest{errors.New(`give "bench" or "ftdsl"`)}
 	}
 	dist, err := req.Defects.distribution()
 	if err != nil {
-		return nil, nil, opts, badRequest{err}
+		return r, badRequest{err}
 	}
-	opts = yield.Options{
+	r.opts = yield.Options{
 		Defects:   dist,
 		Epsilon:   req.Epsilon,
 		NodeLimit: s.cfg.NodeLimit,
 	}
 	if req.MVOrder != "" {
-		if opts.MVOrder, err = order.ParseMVKind(req.MVOrder); err != nil {
-			return nil, nil, opts, badRequest{err}
+		if r.opts.MVOrder, err = order.ParseMVKind(req.MVOrder); err != nil {
+			return r, badRequest{err}
 		}
 	}
 	if req.BitOrder != "" {
-		if opts.BitOrder, err = order.ParseBitKind(req.BitOrder); err != nil {
-			return nil, nil, opts, badRequest{err}
+		if r.opts.BitOrder, err = order.ParseBitKind(req.BitOrder); err != nil {
+			return r, badRequest{err}
 		}
 	}
-	ps := make([]float64, len(sys.Components))
-	for i, c := range sys.Components {
-		ps[i] = c.P
-	}
-	if req.Lethalities != nil {
-		if len(req.Lethalities) != len(ps) {
-			return nil, nil, opts, badRequest{fmt.Errorf("lethalities has %d entries, system has %d components", len(req.Lethalities), len(ps))}
+	comps := r.sys.Components
+	if req.Lethalities == nil {
+		r.ps = make([]float64, len(comps))
+		for i, c := range comps {
+			r.ps[i] = c.P
 		}
-		copy(ps, req.Lethalities)
-		for i, p := range ps {
-			sys.Components[i].P = p
-		}
+		return r, nil
 	}
-	return sys, ps, opts, nil
+	if len(req.Lethalities) != len(comps) {
+		return r, badRequest{fmt.Errorf("lethalities has %d entries, system has %d components", len(req.Lethalities), len(comps))}
+	}
+	r.ps = req.Lethalities
+	sys := *r.sys
+	sys.Components = make([]yield.Component, len(comps))
+	for i, c := range comps {
+		c.P = r.ps[i]
+		sys.Components[i] = c
+	}
+	r.sys = &sys
+	return r, nil
 }
 
 // compiled returns the cached (or freshly built) Reevaluator for the
-// model, keyed by yield.ModelKey. The build pins the truncation point
-// to the key's resolved M, so every user of the entry — whatever its
-// distribution resolves to — evaluates on exactly the keyed model.
-func (s *Server) compiled(ctx context.Context, sys *yield.System, opts yield.Options) (re *yield.Reevaluator, key string, m int, hit bool, err error) {
-	key, m, err = yield.ModelKey(sys, opts)
+// model, keyed by yield.ModelKey (through the bench system's memo when
+// there is one). The build pins the truncation point to the key's
+// resolved M, so every user of the entry — whatever its distribution
+// resolves to — evaluates on exactly the keyed model.
+func (s *Server) compiled(ctx context.Context, r resolved) (re *yield.Reevaluator, key string, m int, hit bool, err error) {
+	sys, opts := r.sys, r.opts
+	key, m, err = r.keys.ModelKey(sys, opts)
 	if err != nil {
 		return nil, "", 0, false, badRequest{err}
 	}
@@ -325,16 +346,17 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decode(w, r, &req) {
 		return
 	}
-	sys, ps, opts, err := s.resolve(&req.ModelRequest)
+	rs, err := s.resolve(&req.ModelRequest)
 	if err != nil {
 		respondError(w, err)
 		return
 	}
-	re, key, m, hit, err := s.compiled(r.Context(), sys, opts)
+	re, key, m, hit, err := s.compiled(r.Context(), rs)
 	if err != nil {
 		respondError(w, err)
 		return
 	}
+	sys, ps, opts := rs.sys, rs.ps, rs.opts
 	y, bound, err := re.Yield(ps, opts.Defects)
 	if err != nil {
 		respondError(w, badRequest{err})
@@ -379,7 +401,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("sweep of %d points exceeds the server limit of %d", len(req.Lambdas), s.cfg.MaxSweepPoints))
 		return
 	}
-	sys, ps, opts, err := s.resolve(&req.ModelRequest)
+	rs, err := s.resolve(&req.ModelRequest)
 	if err != nil {
 		respondError(w, err)
 		return
@@ -399,9 +421,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			respondError(w, badRequest{fmt.Errorf("lambdas[%d]=%v: %w", i, l, err)})
 			return
 		}
-		points[i] = yield.SweepPoint{PS: ps, Dist: dist}
+		points[i] = yield.SweepPoint{PS: rs.ps, Dist: dist}
 	}
-	re, key, m, hit, err := s.compiled(r.Context(), sys, opts)
+	re, key, m, hit, err := s.compiled(r.Context(), rs)
 	if err != nil {
 		respondError(w, err)
 		return
@@ -415,7 +437,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Recorder: s.cfg.Metrics,
 	})
 	resp := SweepResponse{
-		System:   sys.Name,
+		System:   rs.sys.Name,
 		M:        m,
 		ModelKey: key,
 		CacheHit: hit,

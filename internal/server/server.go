@@ -55,7 +55,8 @@ type Config struct {
 	Addr string
 	// CacheEntries bounds the number of compiled models kept (default
 	// 32; minimum 1). Each entry's decision diagrams are additionally
-	// bounded by NodeLimit.
+	// bounded by NodeLimit. It also bounds the resolved bench systems
+	// kept (one per bench name).
 	CacheEntries int
 	// NodeLimit is the decision-diagram node budget per compiled model
 	// (default 8M nodes ≈ a few hundred MB peak; 0 keeps the default,
@@ -145,12 +146,13 @@ func (c Config) withDefaults() Config {
 // serve immediately (Handler for embedding into an existing server,
 // ListenAndServe to run standalone).
 type Server struct {
-	cfg    Config
-	cache  *modelCache
-	builds *buildTracker
-	sem    chan struct{}
-	mux    *http.ServeMux
-	reqSeq atomic.Uint64
+	cfg     Config
+	systems *systemTable
+	cache   *modelCache
+	builds  *buildTracker
+	sem     chan struct{}
+	mux     *http.ServeMux
+	reqSeq  atomic.Uint64
 
 	requests  *obs.Counter
 	errors4xx *obs.Counter
@@ -172,6 +174,7 @@ func New(cfg Config) *Server {
 	rec := cfg.Metrics
 	s := &Server{
 		cfg:       cfg,
+		systems:   newSystemTable(cfg.CacheEntries, rec),
 		cache:     newModelCache(cfg.CacheEntries, rec),
 		builds:    newBuildTracker(rec),
 		sem:       make(chan struct{}, cfg.MaxConcurrent),

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"socyield/internal/benchmarks"
@@ -96,6 +97,34 @@ func TestGoldenFixtureCompat(t *testing.T) {
 	if math.Abs(y-snap.Build.Yield) > 1e-12 || math.Abs(b-snap.Build.ErrorBound) > 1e-12 {
 		t.Fatalf("restored fixture evaluates %.17g/%.17g, build recorded %.17g/%.17g",
 			y, b, snap.Build.Yield, snap.Build.ErrorBound)
+	}
+}
+
+// TestGoldenFixtureMatchesFreshBuild checks that a fresh build of the
+// fixture's model freezes to the fixture's ROMDD arrays and group
+// sequence exactly. TestGoldenFixtureCompat only decodes the fixture,
+// so without this a change to the Freeze numbering would go unnoticed
+// while every newly stored model silently changed its bytes. The
+// arrays are integers, so they compare exactly on any architecture.
+func TestGoldenFixtureMatchesFreshBuild(t *testing.T) {
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
+	}
+	stored, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	sys, opts := goldenModel(t)
+	fresh, _ := buildSnapshot(t, sys, opts)
+	got, want := fresh.Frozen.Data(), stored.Frozen.Data()
+	if got.Root != want.Root || !slices.Equal(got.Domains, want.Domains) ||
+		!slices.Equal(got.Levels, want.Levels) || !slices.Equal(got.Kids, want.Kids) {
+		t.Errorf("fresh ROMDD differs from the fixture: %d nodes / %d kids, root %d; fixture %d / %d, root %d",
+			len(got.Levels), len(got.Kids), got.Root, len(want.Levels), len(want.Kids), want.Root)
+	}
+	if !slices.Equal(fresh.GroupSeq, stored.GroupSeq) {
+		t.Errorf("fresh group sequence %v, fixture %v", fresh.GroupSeq, stored.GroupSeq)
 	}
 }
 

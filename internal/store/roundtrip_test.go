@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -154,5 +155,18 @@ func TestRoundTripBenchmark(t *testing.T) {
 	y2, b2, err2 := loaded.Yield(ps, d)
 	if err1 != nil || err2 != nil || y1 != y2 || b1 != b2 {
 		t.Fatalf("benchmark reevaluation differs: %v/%v (%v) vs %v/%v (%v)", y2, b2, err2, y1, b1, err1)
+	}
+}
+
+// TestUvarintLen pins the size helper Encode uses to size its buffer
+// against the encoder itself, at every length boundary.
+func TestUvarintLen(t *testing.T) {
+	var buf [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, x := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := uvarintLen(x), binary.PutUvarint(buf[:], x); got != want {
+				t.Errorf("uvarintLen(%d) = %d, encoder writes %d bytes", x, got, want)
+			}
+		}
 	}
 }

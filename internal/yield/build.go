@@ -26,14 +26,17 @@ import (
 // so they still report the tables' final sizes.
 //
 // Each phase's bookkeeping (statistics snapshots, diagram sizes)
-// runs inside that phase's span, so the phase spans tile the parent.
-//
-// parent is the enclosing metrics span (nil-safe). On error res is
-// still consistently filled up to the failing phase; callers decide
-// whether to publish it.
-func (p *prepared) buildModel(parent *obs.Span, g *encode.GFunc, plan *order.Plan, res *Result) (*mdd.Manager, mdd.Node, error) {
+// runs inside that phase's span. sp is the caller's running phase
+// span: buildModel ends it by opening compile with Next, opens convert
+// the same way, and returns the convert span still running, so the
+// caller's next phase starts the instant convert ends and the phase
+// spans tile their parent. On error the returned span is the failing
+// phase's, still running until the caller ends the parent, and res is
+// consistently filled up to that phase; callers decide whether to
+// publish it.
+func (p *prepared) buildModel(sp *obs.Span, g *encode.GFunc, plan *order.Plan, res *Result) (*obs.Span, *mdd.Manager, mdd.Node, error) {
+	sp = sp.Next("compile")
 	p.opts.BuildState.StartPhase(obs.BuildCompile, 0)
-	sp := parent.Child("compile")
 	t0 := time.Now()
 	bm := bdd.New(g.Netlist.NumInputs(), p.opts.bddManagerOptions()...)
 	broot, err := compile.Netlist(bm, g.Netlist, plan.BinaryLevels,
@@ -43,25 +46,22 @@ func (p *prepared) buildModel(parent *obs.Span, g *encode.GFunc, plan *order.Pla
 	res.Stats.CompilePeakLive = bm.ResetPeakLive()
 	res.ROBDDPeak = res.Stats.CompilePeakLive
 	if err != nil {
-		sp.End()
-		return nil, mdd.False, fmt.Errorf("yield: compiling coded ROBDD: %w", err)
+		return sp, nil, mdd.False, fmt.Errorf("yield: compiling coded ROBDD: %w", err)
 	}
 	res.CodedROBDDSize = bm.Size(broot)
-	sp.End()
 
+	sp = sp.Next("convert")
 	p.opts.BuildState.StartPhase(obs.BuildConvert, 0)
-	sp = parent.Child("convert")
-	defer sp.End()
 	groupOf, bitOf := groupMeta(g)
 	spec, err := convert.SpecFromPlanLevels(plan.BinaryLevels, groupOf, bitOf, plan.GroupSeq, g.Domains())
 	if err != nil {
-		return nil, mdd.False, err
+		return sp, nil, mdd.False, err
 	}
 	t0 = time.Now()
 	bm.ReleaseTables()
 	mm, err := mdd.New(spec.Domains, mdd.WithNodeLimit(p.opts.NodeLimit))
 	if err != nil {
-		return nil, mdd.False, err
+		return sp, nil, mdd.False, err
 	}
 	mroot, err := convert.ToMDDWithStats(bm, broot, mm, spec, &res.Stats.Convert,
 		convert.WithBuildState(p.opts.BuildState), convert.WithTracer(p.opts.Tracer))
@@ -70,10 +70,10 @@ func (p *prepared) buildModel(parent *obs.Span, g *encode.GFunc, plan *order.Pla
 	res.Stats.ConvertPeakLive = bm.PeakLive()
 	res.ROBDDPeak = max(res.ROBDDPeak, res.Stats.ConvertPeakLive)
 	if err != nil {
-		return nil, mdd.False, fmt.Errorf("yield: converting to ROMDD: %w", err)
+		return sp, nil, mdd.False, fmt.Errorf("yield: converting to ROMDD: %w", err)
 	}
 	finishModelStats(res, mm, mroot)
-	return mm, mroot, nil
+	return sp, mm, mroot, nil
 }
 
 func finishModelStats(res *Result, mm *mdd.Manager, mroot mdd.Node) {

@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"sync"
 
 	"socyield/internal/defects"
 	"socyield/internal/logic"
+	"socyield/internal/obs"
+	"socyield/internal/order"
 )
 
 // ModelKey canonically identifies the compiled decision diagrams of an
@@ -35,6 +38,64 @@ import (
 // is independent of them, which is exactly what makes a compiled-model
 // cache effective for (λ, α) exploration against a fixed structure.
 func ModelKey(sys *System, opts Options) (key string, m int, err error) {
+	return modelKey(sys, opts, nil)
+}
+
+// KeyMemo memoises ModelKey for one fault-tree structure: it encodes
+// the output cone once, and keeps each finished key by the remaining
+// hashed inputs (M, the orderings, the node budget and ε). The
+// truncation point is still resolved on every call, because it
+// depends on the lethalities and the defect model of the call. A hit
+// costs the defaults, validation and M; it neither walks the cone nor
+// hashes. Safe for concurrent use.
+type KeyMemo struct {
+	tree  *logic.Netlist
+	comps int
+	// hashes, when non-nil, counts the keys this memo hashed.
+	hashes *obs.Counter
+
+	coneOnce sync.Once
+	cone     []byte
+	coneErr  error
+
+	mu   sync.Mutex
+	keys map[keyParams]string
+}
+
+// keyParams are the hashed inputs of a ModelKey besides the cone and
+// the component count, which are fixed per KeyMemo.
+type keyParams struct {
+	m         int
+	mvOrder   order.MVKind
+	bitOrder  order.BitKind
+	nodeLimit int
+	epsBits   uint64
+}
+
+// maxMemoKeys bounds a KeyMemo: client-chosen ε and M could otherwise
+// grow it without limit. A full memo starts over.
+const maxMemoKeys = 64
+
+// NewKeyMemo returns a ModelKey memo for the fault tree and component
+// count of sys. hashes, when non-nil, counts the keys it hashes.
+func NewKeyMemo(sys *System, hashes *obs.Counter) *KeyMemo {
+	return &KeyMemo{tree: sys.FaultTree, comps: len(sys.Components), hashes: hashes}
+}
+
+// ModelKey returns exactly what ModelKey(sys, opts) returns. sys must
+// have the memo's fault tree (the same *logic.Netlist) and component
+// count, as a copy of the memo's system with other lethalities has;
+// any other system, and every system on a nil memo, is keyed without
+// the memo.
+func (k *KeyMemo) ModelKey(sys *System, opts Options) (key string, m int, err error) {
+	if k == nil || sys == nil || sys.FaultTree != k.tree || len(sys.Components) != k.comps {
+		return ModelKey(sys, opts)
+	}
+	return modelKey(sys, opts, k)
+}
+
+// modelKey is the one derivation of a model key; memo may be nil.
+func modelKey(sys *System, opts Options, memo *KeyMemo) (key string, m int, err error) {
 	o, err := opts.withDefaults()
 	if err != nil {
 		return "", 0, err
@@ -56,45 +117,65 @@ func ModelKey(sys *System, opts Options) (key string, m int, err error) {
 		}
 		m = o.ForceM
 	}
-	h := sha256.New()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	if memo == nil {
+		// A one-off key takes the same steps through a memo of its own.
+		memo = NewKeyMemo(sys, nil)
 	}
-	h.Write([]byte("socyield-model-v1"))
-	wu(uint64(len(sys.Components)))
-	wu(uint64(m))
-	wu(uint64(o.MVOrder))
-	wu(uint64(o.BitOrder))
-	wu(uint64(o.NodeLimit))
-	wu(math.Float64bits(o.Epsilon))
-	if err := hashCone(h.Write, sys.FaultTree); err != nil {
-		return "", 0, err
+	p := keyParams{m: m, mvOrder: o.MVOrder, bitOrder: o.BitOrder, nodeLimit: o.NodeLimit, epsBits: math.Float64bits(o.Epsilon)}
+	memo.mu.Lock()
+	key, ok := memo.keys[p]
+	memo.mu.Unlock()
+	if ok {
+		return key, m, nil
 	}
-	return hex.EncodeToString(h.Sum(nil)), m, nil
+	memo.coneOnce.Do(func() { memo.cone, memo.coneErr = encodeCone(memo.tree) })
+	if memo.coneErr != nil {
+		return "", 0, memo.coneErr
+	}
+	key = hashKey(memo.comps, p, memo.cone)
+	memo.hashes.Inc()
+	memo.mu.Lock()
+	if memo.keys == nil || len(memo.keys) >= maxMemoKeys {
+		memo.keys = make(map[keyParams]string)
+	}
+	memo.keys[p] = key
+	memo.mu.Unlock()
+	return key, m, nil
 }
 
 type errNegativeForceM int
 
 func (e errNegativeForceM) Error() string { return "yield: forced M < 0" }
 
-// hashCone feeds a canonical encoding of the output cone of f to
-// write: reachable gates renumbered in depth-first post-order (the
-// deterministic order VisitDepthFirst defines), each emitted as
-// (kind, payload, fan-in...) with fan-in in stored order. Two
-// netlists hash equal iff their output cones are structurally
-// identical with identical input ordinals — the precise condition for
-// the downstream pipeline to behave identically.
-func hashCone(write func([]byte) (int, error), f *logic.Netlist) error {
-	renum := make(map[logic.GateID]uint64, f.NumNodes())
-	var buf [8]byte
-	emit := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		write(buf[:])
+// hashKey is the SHA-256 of the versioned header, the component count,
+// p and the canonical cone encoding, in hex.
+func hashKey(comps int, p keyParams, cone []byte) string {
+	buf := make([]byte, 0, 64)
+	buf = append(buf, "socyield-model-v1"...)
+	for _, v := range []uint64{uint64(comps), uint64(p.m), uint64(p.mvOrder), uint64(p.bitOrder), uint64(p.nodeLimit), p.epsBits} {
+		buf = binary.LittleEndian.AppendUint64(buf, v)
 	}
-	return f.VisitDepthFirst(func(id logic.GateID, g logic.Gate) {
-		renum[id] = uint64(len(renum))
+	h := sha256.New()
+	h.Write(buf)
+	h.Write(cone)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// encodeCone returns a canonical encoding of the output cone of f:
+// reachable gates renumbered in depth-first post-order (the
+// deterministic order VisitDepthFirst defines), each emitted as
+// (kind, payload, fan-in...) with fan-in in stored order, every value
+// a little-endian uint64. Two netlists encode equal iff their output
+// cones are structurally identical with identical input ordinals — the
+// precise condition for the downstream pipeline to behave identically.
+func encodeCone(f *logic.Netlist) ([]byte, error) {
+	renum := make([]uint64, f.NumNodes())
+	var next uint64
+	var out []byte
+	emit := func(v uint64) { out = binary.LittleEndian.AppendUint64(out, v) }
+	err := f.VisitDepthFirst(func(id logic.GateID, g logic.Gate) {
+		renum[id] = next
+		next++
 		emit(uint64(g.Kind))
 		switch g.Kind {
 		case logic.InputKind:
@@ -112,4 +193,8 @@ func hashCone(write func([]byte) (int, error), f *logic.Netlist) error {
 			}
 		}
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

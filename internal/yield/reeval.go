@@ -2,6 +2,7 @@ package yield
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"socyield/internal/defects"
@@ -23,8 +24,8 @@ import (
 // their own Q'-table truncated at the same M.
 //
 // After construction the Reevaluator is immutable — the ROMDD lives in
-// a frozen snapshot and every evaluation allocates its own scratch
-// state — so Yield, YieldRaw and Sensitivities may be called
+// a frozen snapshot and every evaluation takes its own scratch state
+// from a pool — so Yield, YieldRaw and Sensitivities may be called
 // concurrently from any number of goroutines on one shared instance.
 // Sweep fans a whole grid of evaluation points out over a worker pool.
 type Reevaluator struct {
@@ -32,9 +33,38 @@ type Reevaluator struct {
 	m        int
 	frozen   *mdd.Frozen
 	groupSeq []int
+	// scratch pools *evalScratch values sized for this model, so a
+	// cached evaluation allocates nothing node-sized. It is a separate
+	// allocation because the runtime's list of pools points at each
+	// pool until the next GC; a pool embedded here would keep a dropped
+	// Reevaluator, frozen ROMDD included, alive for an extra GC cycle.
+	scratch *sync.Pool
 	// Stats of the one-time build.
 	Result *Result
 }
+
+// evalScratch is the working memory of one evaluation: the ROMDD
+// pass buffer and the probability table that feeds it. One goroutine
+// owns it at a time.
+type evalScratch struct {
+	buf    mdd.ProbBuffer
+	pprime []float64
+	wRow   []float64
+	probs  [][]float64
+}
+
+func (r *Reevaluator) getScratch() *evalScratch {
+	if sc, ok := r.scratch.Get().(*evalScratch); ok {
+		return sc
+	}
+	return &evalScratch{
+		pprime: make([]float64, len(r.sys.Components)),
+		wRow:   make([]float64, r.m+2),
+		probs:  make([][]float64, len(r.groupSeq)),
+	}
+}
+
+func (r *Reevaluator) putScratch(sc *evalScratch) { r.scratch.Put(sc) }
 
 // NewReevaluator runs the construction phases of Evaluate (using
 // opts.Defects only to fix M) and retains the ROMDD. The one-time
@@ -44,7 +74,8 @@ type Reevaluator struct {
 func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	rec := opts.Recorder
 	bs := opts.BuildState
-	// As in Evaluate: publisher start/stop stays outside the root span.
+	// As in Evaluate: publisher start/stop stays outside the root span,
+	// and the phases are one First/Next chain that tiles it.
 	stopLive := startLivePublisher(rec, bs)
 	defer stopLive()
 	buildSpan := rec.Span("reevaluator-build")
@@ -52,19 +83,17 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	bs.StartPhase(obs.BuildPrepare, 0)
 	defer bs.Finish()
 
-	sp := buildSpan.Child("prepare")
+	sp := buildSpan.First("prepare")
 	t0 := time.Now()
 	p, err := prepare(sys, opts)
 	prepDur := time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	sp = buildSpan.Child("encode")
+	sp = sp.Next("encode")
 	t0 = time.Now()
 	g, err := encode.BuildG(sys.FaultTree, p.m)
 	encDur := time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -72,16 +101,15 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	res.Phases.Prepare = prepDur
 	res.Phases.Encode = encDur
 
-	sp = buildSpan.Child("order")
+	sp = sp.Next("order")
 	t0 = time.Now()
 	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
 	res.Phases.Order = time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	mm, mroot, err := p.buildModel(buildSpan, g, plan, res)
+	sp, mm, mroot, err := p.buildModel(sp, g, plan, res)
 	if err != nil {
 		return nil, err
 	}
@@ -89,14 +117,13 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 	// Freeze the ROMDD into an immutable compact snapshot: the manager
 	// (with its construction hash tables) becomes garbage, and every
 	// later evaluation is a goroutine-safe linear pass.
+	sp.Next("eval") // ends with the root span
 	bs.StartPhase(obs.BuildEval, 0)
-	sp = buildSpan.Child("eval")
 	t0 = time.Now()
 	frozen := mm.Freeze(mroot)
 	// Fill the default model's yield for convenience.
 	pg1, err := frozen.Prob(p.probTable(plan.GroupSeq))
 	res.Phases.Eval = time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -109,6 +136,7 @@ func NewReevaluator(sys *System, opts Options) (*Reevaluator, error) {
 		m:        p.m,
 		frozen:   frozen,
 		groupSeq: plan.GroupSeq,
+		scratch:  new(sync.Pool),
 		Result:   res,
 	}, nil
 }
@@ -126,24 +154,24 @@ func (r *Reevaluator) NumComponents() int { return len(r.sys.Components) }
 // P'_1..P'_C (must sum to ≈1), qprime is Q'_0..Q'_M and tail the
 // remaining mass (qprime must have exactly M+1 entries).
 func (r *Reevaluator) YieldRaw(pprime, qprime []float64, tail float64) (float64, error) {
-	return r.yieldRawWith(pprime, qprime, tail, nil)
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	return r.yieldRawWith(pprime, qprime, tail, sc)
 }
 
-// yieldRawWith is YieldRaw with optional caller-owned scratch space
-// for the ROMDD pass (nil allocates per call). The arithmetic is
-// identical either way, so buffered and unbuffered calls are
-// bit-identical.
-func (r *Reevaluator) yieldRawWith(pprime, qprime []float64, tail float64, buf *mdd.ProbBuffer) (float64, error) {
+// yieldRawWith is YieldRaw on the given scratch space. The arithmetic
+// does not depend on the scratch, so every caller gets the same bits.
+func (r *Reevaluator) yieldRawWith(pprime, qprime []float64, tail float64, sc *evalScratch) (float64, error) {
 	if len(pprime) != len(r.sys.Components) {
 		return 0, fmt.Errorf("yield: pprime has %d entries, want %d", len(pprime), len(r.sys.Components))
 	}
 	if len(qprime) != r.m+1 {
 		return 0, fmt.Errorf("yield: qprime has %d entries, want %d", len(qprime), r.m+1)
 	}
-	wRow := make([]float64, r.m+2)
+	wRow := sc.wRow
 	copy(wRow, qprime)
 	wRow[r.m+1] = tail
-	probs := make([][]float64, len(r.groupSeq))
+	probs := sc.probs
 	for mvLevel, gi := range r.groupSeq {
 		if gi == 0 {
 			probs[mvLevel] = wRow
@@ -151,13 +179,7 @@ func (r *Reevaluator) yieldRawWith(pprime, qprime []float64, tail float64, buf *
 			probs[mvLevel] = pprime
 		}
 	}
-	var pg1 float64
-	var err error
-	if buf != nil {
-		pg1, err = r.frozen.ProbWith(probs, buf)
-	} else {
-		pg1, err = r.frozen.Prob(probs)
-	}
+	pg1, err := r.frozen.ProbWith(probs, &sc.buf)
 	if err != nil {
 		return 0, err
 	}
@@ -186,7 +208,8 @@ func (r *Reevaluator) Sensitivities(ps []float64, dist defects.Distribution, del
 	}
 	out := make([]float64, len(ps))
 	work := make([]float64, len(ps))
-	var buf mdd.ProbBuffer
+	sc := r.getScratch()
+	defer r.putScratch(sc)
 	for i := range ps {
 		copy(work, ps)
 		lo := ps[i] - delta
@@ -195,12 +218,12 @@ func (r *Reevaluator) Sensitivities(ps []float64, dist defects.Distribution, del
 			lo = 0
 		}
 		work[i] = hi
-		yHi, _, err := r.yieldWith(work, dist, &buf)
+		yHi, _, err := r.yieldWith(work, dist, sc)
 		if err != nil {
 			return nil, err
 		}
 		work[i] = lo
-		yLo, _, err := r.yieldWith(work, dist, &buf)
+		yLo, _, err := r.yieldWith(work, dist, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -215,13 +238,15 @@ func (r *Reevaluator) Sensitivities(ps []float64, dist defects.Distribution, del
 // stays at the construction-time M; the returned error bound is the
 // new tail mass beyond it.
 func (r *Reevaluator) Yield(ps []float64, dist defects.Distribution) (yield, errorBound float64, err error) {
-	return r.yieldWith(ps, dist, nil)
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	return r.yieldWith(ps, dist, sc)
 }
 
-// yieldWith is Yield with optional reusable scratch space; it is the
-// shared core of the serial and the parallel (Sweep) paths, which
-// keeps their results bit-identical by construction.
-func (r *Reevaluator) yieldWith(ps []float64, dist defects.Distribution, buf *mdd.ProbBuffer) (yield, errorBound float64, err error) {
+// yieldWith is Yield on the given scratch space; it is the shared core
+// of the serial and the parallel (Sweep) paths, which keeps their
+// results bit-identical by construction.
+func (r *Reevaluator) yieldWith(ps []float64, dist defects.Distribution, sc *evalScratch) (yield, errorBound float64, err error) {
 	if len(ps) != len(r.sys.Components) {
 		return 0, 0, fmt.Errorf("yield: ps has %d entries, want %d", len(ps), len(r.sys.Components))
 	}
@@ -243,11 +268,11 @@ func (r *Reevaluator) yieldWith(ps []float64, dist defects.Distribution, buf *md
 	if err != nil {
 		return 0, 0, err
 	}
-	pprime := make([]float64, len(ps))
+	pprime := sc.pprime
 	for i, p := range ps {
 		pprime[i] = p / pl
 	}
-	y, err := r.yieldRawWith(pprime, qprime, tail, buf)
+	y, err := r.yieldRawWith(pprime, qprime, tail, sc)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -2,7 +2,9 @@ package yield
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"socyield/internal/defects"
 )
@@ -160,5 +162,31 @@ func TestSensitivities(t *testing.T) {
 	}
 	if _, err := r.Sensitivities(ps, dist, -1); err == nil {
 		t.Error("negative step accepted")
+	}
+}
+
+// TestDroppedReevaluatorIsCollected checks that a Reevaluator whose
+// scratch pool has been used becomes garbage at the first GC after the
+// last reference goes. A server evicting cached models relies on that
+// to return their frozen ROMDDs to the heap; a pool embedded in the
+// struct would be kept reachable by the runtime's pool list for one
+// more GC cycle.
+func TestDroppedReevaluatorIsCollected(t *testing.T) {
+	ps := []float64{0.2, 0.15, 0.15}
+	re, err := NewReevaluator(tmrSystem(ps[0], ps[1], ps[2]), Options{Defects: nb(2, 2), Epsilon: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := re.Yield(ps, nb(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(re, func(*Reevaluator) { close(collected) })
+	re = nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Error("the dropped Reevaluator survived a GC")
 	}
 }

@@ -2,6 +2,7 @@ package yield
 
 import (
 	"fmt"
+	"sync"
 
 	"socyield/internal/mdd"
 )
@@ -188,6 +189,7 @@ func RestoreReevaluator(snap *Snapshot) (*Reevaluator, error) {
 		m:        snap.M,
 		frozen:   snap.Frozen,
 		groupSeq: append([]int(nil), snap.GroupSeq...),
+		scratch:  new(sync.Pool),
 		Result:   res,
 	}, nil
 }

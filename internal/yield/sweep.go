@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"socyield/internal/defects"
-	"socyield/internal/mdd"
 	"socyield/internal/obs"
 )
 
@@ -103,7 +102,8 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 			defer wg.Done()
 			// Per-goroutine scratch space: the frozen ROMDD itself is
 			// shared read-only, everything mutable is local.
-			var buf mdd.ProbBuffer
+			sc := r.getScratch()
+			defer r.putScratch(sc)
 			var localBusy time.Duration
 			for {
 				i := int(next.Add(1)) - 1
@@ -124,7 +124,7 @@ func (r *Reevaluator) Sweep(points []SweepPoint, opts SweepOptions) []SweepResul
 				if rec != nil {
 					t0 = time.Now()
 				}
-				y, bound, err := r.yieldWith(points[i].PS, dist, &buf)
+				y, bound, err := r.yieldWith(points[i].PS, dist, sc)
 				if rec != nil {
 					d := time.Since(t0)
 					localBusy += d

@@ -340,20 +340,21 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 	bs.StartPhase(obs.BuildPrepare, 0)
 	defer bs.Finish()
 
-	sp := evalSpan.Child("prepare")
+	// The phases form one chain of sibling spans, opened with First and
+	// Next, so they tile the root span; sp is the running phase, and
+	// ending the root ends it.
+	sp := evalSpan.First("prepare")
 	t0 := time.Now()
 	p, err := prepare(sys, opts)
 	prepDur := time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	sp = evalSpan.Child("encode")
+	sp = sp.Next("encode")
 	t0 = time.Now()
 	g, err := encode.BuildG(sys.FaultTree, p.m)
 	encDur := time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -361,16 +362,15 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 	res.Phases.Prepare = prepDur
 	res.Phases.Encode = encDur
 
-	sp = evalSpan.Child("order")
+	sp = sp.Next("order")
 	t0 = time.Now()
 	plan, err := order.Assemble(g.Netlist, g.Groups, p.opts.MVOrder, p.opts.BitOrder)
 	res.Phases.Order = time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 
-	mm, mroot, err := p.buildModel(evalSpan, g, plan, res)
+	sp, mm, mroot, err := p.buildModel(sp, g, plan, res)
 	if err != nil {
 		evalSpan.End()
 		res.Stats.publish(rec)
@@ -378,18 +378,18 @@ func Evaluate(sys *System, opts Options) (*Result, error) {
 		return res, err
 	}
 
+	sp.Next("eval") // ends with the root span
 	bs.StartPhase(obs.BuildEval, 0)
-	sp = evalSpan.Child("eval")
 	t0 = time.Now()
 	pg1, err := mm.Prob(mroot, p.probTable(plan.GroupSeq))
 	res.Phases.Eval = time.Since(t0)
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
 	res.Yield = 1 - pg1
 	// Publishing is reporting, not evaluation: it runs after the root
-	// span ends, so the phase spans cover the whole root.
+	// span (and with it the eval span) ends, so the phase spans cover
+	// the whole root.
 	evalSpan.End()
 	res.Stats.publish(rec)
 	publishResult(rec, res)
