@@ -59,9 +59,8 @@ func (s *Span) First(name string) *Span {
 // Next ends s and opens its sibling name at the same instant, so a
 // chain of phases opened with Next leaves no gap between one phase's
 // end and the next one's start. A span already ended keeps its first
-// duration. On a root span the sibling is timed but belongs to no
-// tree, since roots are opened through the Registry. Returns nil on a
-// nil receiver.
+// duration. A root span has no siblings: Next ends it and returns nil,
+// as it does on a nil receiver.
 func (s *Span) Next(name string) *Span {
 	if s == nil {
 		return nil
@@ -69,7 +68,7 @@ func (s *Span) Next(name string) *Span {
 	now := time.Now()
 	s.endAt(now)
 	if s.parent == nil {
-		return &Span{name: name, start: now}
+		return nil
 	}
 	return s.parent.addChild(name, now)
 }

@@ -11,6 +11,7 @@ import (
 
 	"socyield/internal/benchmarks"
 	"socyield/internal/obs"
+	"socyield/internal/yield"
 )
 
 // serveEvaluate sends one in-process POST /v1/evaluate through the
@@ -179,6 +180,54 @@ func TestSystemTableBoundedAndSkipsUnknown(t *testing.T) {
 	}
 	if _, ok := tbl.byName["nonsense"]; ok {
 		t.Error("table kept an unknown name")
+	}
+}
+
+// TestSystemTableUnknownInFlightEvictsNothing checks that a name whose
+// generation is still running does not count towards the capacity: a
+// real system finishing meanwhile evicts only as many real systems as
+// the capacity requires, and when the unknown name then fails the
+// table still holds a full set of real systems.
+func TestSystemTableUnknownInFlightEvictsNothing(t *testing.T) {
+	rec := obs.NewRegistry()
+	tbl := newSystemTable(2, rec)
+	started, release := make(chan struct{}), make(chan struct{})
+	tbl.generate = func(name string) (*yield.System, error) {
+		if name == "nonsense" {
+			close(started)
+			<-release
+		}
+		return benchmarks.ByName(name)
+	}
+	for _, name := range []string{"MS2", "ESEN4x1"} {
+		if _, err := tbl.get(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	failed := make(chan error)
+	go func() {
+		_, err := tbl.get("nonsense")
+		failed <- err
+	}()
+	<-started
+	// MS4 finishes while "nonsense" is in flight: only MS2 goes.
+	if _, err := tbl.get("MS4"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-failed; err == nil {
+		t.Fatal("unknown bench resolved")
+	}
+	if n := tbl.lru.Len(); n != 2 || len(tbl.byName) != 2 || tbl.ready != 2 {
+		t.Errorf("table holds %d/%d entries (%d ready), want 2", n, len(tbl.byName), tbl.ready)
+	}
+	for _, name := range []string{"ESEN4x1", "MS4"} {
+		if _, ok := tbl.byName[name]; !ok {
+			t.Errorf("%s was evicted", name)
+		}
+	}
+	if got := rec.Counter("resolve.systems_built").Load(); got != 4 {
+		t.Errorf("systems_built = %d, want 4", got)
 	}
 }
 

@@ -19,24 +19,27 @@ import (
 // lethalities gets a shallow copy with its own Components (see
 // resolve); nothing writes into a table entry after it is built.
 type systemTable struct {
-	built     *obs.Counter // resolve.systems_built: ByName calls
+	built     *obs.Counter // resolve.systems_built: generations run
 	keyHashes *obs.Counter // resolve.key_hashes: memo misses
 
 	capacity int
+	generate func(name string) (*yield.System, error)
 
 	mu     sync.Mutex
 	byName map[string]*list.Element
 	lru    *list.List // front = most recently used
+	ready  int        // entries whose generation succeeded
 }
 
 // systemEntry is one resolved bench system. sys, keys and err may only
-// be read after once has run.
+// be read after once has run; ready is guarded by the table's mu.
 type systemEntry struct {
-	name string
-	once sync.Once
-	sys  *yield.System
-	keys *yield.KeyMemo
-	err  error
+	name  string
+	once  sync.Once
+	sys   *yield.System
+	keys  *yield.KeyMemo
+	err   error
+	ready bool
 }
 
 func newSystemTable(capacity int, rec *obs.Registry) *systemTable {
@@ -47,6 +50,7 @@ func newSystemTable(capacity int, rec *obs.Registry) *systemTable {
 		built:     rec.Counter("resolve.systems_built"),
 		keyHashes: rec.Counter("resolve.key_hashes"),
 		capacity:  capacity,
+		generate:  benchmarks.ByName,
 		byName:    make(map[string]*list.Element),
 		lru:       list.New(),
 	}
@@ -54,9 +58,10 @@ func newSystemTable(capacity int, rec *obs.Registry) *systemTable {
 
 // get returns the resolved system for a bench name, generating it on
 // first use. Concurrent first requests for one name share one
-// generation. The table is trimmed to its capacity only after a
-// generation succeeds, and a name ByName rejects is dropped, so
-// unknown names can neither stay in the table nor evict real ones.
+// generation. Only entries whose generation succeeded count towards the
+// capacity and only they are evicted; a name whose generation fails is
+// dropped. So a name ByName rejects neither stays in the table nor,
+// while its generation is still running, evicts a real one.
 func (t *systemTable) get(name string) (*systemEntry, error) {
 	t.mu.Lock()
 	el, ok := t.byName[name]
@@ -71,23 +76,27 @@ func (t *systemTable) get(name string) (*systemEntry, error) {
 
 	e.once.Do(func() {
 		t.built.Inc()
-		e.sys, e.err = benchmarks.ByName(name)
+		e.sys, e.err = t.generate(name)
 		if e.err == nil {
 			e.keys = yield.NewKeyMemo(e.sys, t.keyHashes)
 		}
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if e.err != nil {
-			if cur, ok := t.byName[name]; ok && cur == el {
-				delete(t.byName, name)
-				t.lru.Remove(el)
-			}
+			delete(t.byName, name)
+			t.lru.Remove(el)
 			return
 		}
-		for t.lru.Len() > t.capacity {
-			back := t.lru.Back()
-			delete(t.byName, back.Value.(*systemEntry).name)
-			t.lru.Remove(back)
+		e.ready = true
+		t.ready++
+		for back := t.lru.Back(); t.ready > t.capacity; {
+			prev := back.Prev()
+			if old := back.Value.(*systemEntry); old.ready {
+				delete(t.byName, old.name)
+				t.lru.Remove(back)
+				t.ready--
+			}
+			back = prev
 		}
 	})
 	if e.err != nil {

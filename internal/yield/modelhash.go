@@ -38,7 +38,15 @@ import (
 // is independent of them, which is exactly what makes a compiled-model
 // cache effective for (λ, α) exploration against a fixed structure.
 func ModelKey(sys *System, opts Options) (key string, m int, err error) {
-	return modelKey(sys, opts, nil)
+	p, err := keyInputs(sys, opts)
+	if err != nil {
+		return "", 0, err
+	}
+	cone, err := encodeCone(sys.FaultTree)
+	if err != nil {
+		return "", 0, err
+	}
+	return hashKey(len(sys.Components), p, cone), p.m, nil
 }
 
 // KeyMemo memoises ModelKey for one fault-tree structure: it encodes
@@ -82,65 +90,68 @@ func NewKeyMemo(sys *System, hashes *obs.Counter) *KeyMemo {
 	return &KeyMemo{tree: sys.FaultTree, comps: len(sys.Components), hashes: hashes}
 }
 
-// ModelKey returns exactly what ModelKey(sys, opts) returns. sys must
-// have the memo's fault tree (the same *logic.Netlist) and component
-// count, as a copy of the memo's system with other lethalities has;
-// any other system, and every system on a nil memo, is keyed without
-// the memo.
+// ModelKey returns exactly what ModelKey(sys, opts) returns: both
+// resolve the hashed inputs with keyInputs and hash them with hashKey
+// over the encodeCone bytes. sys must have the memo's fault tree (the
+// same *logic.Netlist) and component count, as a copy of the memo's
+// system with other lethalities has; any other system, and every
+// system on a nil memo, is keyed without the memo.
 func (k *KeyMemo) ModelKey(sys *System, opts Options) (key string, m int, err error) {
 	if k == nil || sys == nil || sys.FaultTree != k.tree || len(sys.Components) != k.comps {
 		return ModelKey(sys, opts)
 	}
-	return modelKey(sys, opts, k)
-}
-
-// modelKey is the one derivation of a model key; memo may be nil.
-func modelKey(sys *System, opts Options, memo *KeyMemo) (key string, m int, err error) {
-	o, err := opts.withDefaults()
+	p, err := keyInputs(sys, opts)
 	if err != nil {
 		return "", 0, err
 	}
+	k.mu.Lock()
+	key, ok := k.keys[p]
+	k.mu.Unlock()
+	if ok {
+		return key, p.m, nil
+	}
+	k.coneOnce.Do(func() { k.cone, k.coneErr = encodeCone(k.tree) })
+	if k.coneErr != nil {
+		return "", 0, k.coneErr
+	}
+	key = hashKey(k.comps, p, k.cone)
+	k.hashes.Inc()
+	k.mu.Lock()
+	if k.keys == nil || len(k.keys) >= maxMemoKeys {
+		k.keys = make(map[keyParams]string)
+	}
+	k.keys[p] = key
+	k.mu.Unlock()
+	return key, p.m, nil
+}
+
+// keyInputs validates sys and opts and resolves the hashed inputs of a
+// model key besides the cone and the component count: the truncation
+// point M (from the defect model, ε and P_L, or forced), the orderings,
+// the node budget and ε.
+func keyInputs(sys *System, opts Options) (keyParams, error) {
+	o, err := opts.withDefaults()
+	if err != nil {
+		return keyParams{}, err
+	}
 	if err := sys.Validate(); err != nil {
-		return "", 0, err
+		return keyParams{}, err
 	}
 	lethal, err := defects.Thin(o.Defects, sys.PL())
 	if err != nil {
-		return "", 0, err
+		return keyParams{}, err
 	}
-	m, _, err = defects.TruncationPoint(lethal, o.Epsilon)
+	m, _, err := defects.TruncationPoint(lethal, o.Epsilon)
 	if err != nil {
-		return "", 0, err
+		return keyParams{}, err
 	}
 	if o.ForceMSet {
 		if o.ForceM < 0 {
-			return "", 0, errNegativeForceM(o.ForceM)
+			return keyParams{}, errNegativeForceM(o.ForceM)
 		}
 		m = o.ForceM
 	}
-	if memo == nil {
-		// A one-off key takes the same steps through a memo of its own.
-		memo = NewKeyMemo(sys, nil)
-	}
-	p := keyParams{m: m, mvOrder: o.MVOrder, bitOrder: o.BitOrder, nodeLimit: o.NodeLimit, epsBits: math.Float64bits(o.Epsilon)}
-	memo.mu.Lock()
-	key, ok := memo.keys[p]
-	memo.mu.Unlock()
-	if ok {
-		return key, m, nil
-	}
-	memo.coneOnce.Do(func() { memo.cone, memo.coneErr = encodeCone(memo.tree) })
-	if memo.coneErr != nil {
-		return "", 0, memo.coneErr
-	}
-	key = hashKey(memo.comps, p, memo.cone)
-	memo.hashes.Inc()
-	memo.mu.Lock()
-	if memo.keys == nil || len(memo.keys) >= maxMemoKeys {
-		memo.keys = make(map[keyParams]string)
-	}
-	memo.keys[p] = key
-	memo.mu.Unlock()
-	return key, m, nil
+	return keyParams{m: m, mvOrder: o.MVOrder, bitOrder: o.BitOrder, nodeLimit: o.NodeLimit, epsBits: math.Float64bits(o.Epsilon)}, nil
 }
 
 type errNegativeForceM int
